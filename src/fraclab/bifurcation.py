@@ -26,7 +26,7 @@ from .solver import (
     solve_pure_singular,
     weak_residual,
 )
-from .variational import energy, mountain_pass_search, sobolev_constant
+from .variational import energy, golden_section_max, mountain_pass_search, sobolev_constant
 
 
 def lambda_certificate(params: ProblemParams, lam1: float) -> float:
@@ -48,19 +48,7 @@ def lambda_certificate(params: ProblemParams, lam1: float) -> float:
     i = int(np.argmax(vals))
     lo = tg[max(i - 1, 0)]
     hi = tg[min(i + 1, len(tg) - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a1, b1 = lo, hi
-    c1 = b1 - gr * (b1 - a1)
-    d1 = a1 + gr * (b1 - a1)
-    while b1 - a1 > 1e-12:
-        if f(c1) > f(d1):
-            b1, d1 = d1, c1
-            c1 = b1 - gr * (b1 - a1)
-        else:
-            a1, c1 = c1, d1
-            d1 = a1 + gr * (b1 - a1)
-    t = 0.5 * (a1 + b1)
-    value = f(t)
+    value = f(golden_section_max(f, lo, hi, 1e-12))
     if value <= 0.0:
         raise ConvergenceError("certificate maximization returned a nonpositive value")
     return float(value)

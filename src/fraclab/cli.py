@@ -203,16 +203,6 @@ def _setup(cfg: RunConfig, lam: float | None = None):
     return grid, system, params
 
 
-def _report_dict(report) -> dict:
-    return {
-        "residual": report.residual,
-        "iterations": report.iterations,
-        "energy": report.energy,
-        "branch": report.branch,
-        "converged": report.converged,
-    }
-
-
 def _solution_payload(cfg, grid, params, u, report) -> dict:
     return {
         "params": {"s": params.s, "q": params.q, "lam": params.lam},
@@ -247,7 +237,7 @@ def cmd_pure_singular(cfg: RunConfig) -> int:
         write_plot(os.path.join(out, "pure_singular_profile.dat"),
                    grid.nodes, u, "x u"),
     ]
-    write_manifest(out, cfg.to_dict(), {"pure-singular": _report_dict(rep)}, files, __version__)
+    write_manifest(out, cfg.to_dict(), {"pure-singular": asdict(rep)}, files, __version__)
     return 0
 
 
@@ -268,7 +258,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if rep.converged:
         files.append(write_plot(os.path.join(out, "solution_profile.dat"),
                                 grid.nodes, u, "x u"))
-    write_manifest(out, cfg.to_dict(), {"solve": _report_dict(rep)}, files, __version__)
+    write_manifest(out, cfg.to_dict(), {"solve": asdict(rep)}, files, __version__)
     return 0 if rep.converged else 3
 
 
@@ -335,7 +325,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
                    _solution_payload(cfg, grid, params, first, frep)),
     ]
     if not frep.converged:
-        write_manifest(out, cfg.to_dict(), {"first": _report_dict(frep)}, files, __version__)
+        write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print("minimal branch did not converge; no base point", file=sys.stderr)
         return 3
     sob = sobolev_constant(system)
@@ -346,7 +336,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
             eps=cfg.eps_ladder[-1], nu=cfg.nu, trace=trace,
         )
     except ConvergenceError as exc:
-        write_manifest(out, cfg.to_dict(), {"first": _report_dict(frep)}, files, __version__)
+        write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print(f"mountain pass failed: {exc}", file=sys.stderr)
         return 3
     finally:
@@ -359,7 +349,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
     payload["separation"] = abs(float(second.max()) - float(first.max())) / float(first.max())
     files.append(write_json(os.path.join(out, "second_solution.json"), payload))
     write_manifest(out, cfg.to_dict(),
-                   {"first": _report_dict(frep), "second": _report_dict(srep)},
+                   {"first": asdict(frep), "second": asdict(srep)},
                    files, __version__)
     return 0
 
@@ -382,7 +372,7 @@ def cmd_regularity(cfg: RunConfig) -> int:
             "log_correction": fit.log_correction,
             "trusted": fit.trusted,
         },
-        "report": _report_dict(rep),
+        "report": asdict(rep),
     }
     files = [write_json(os.path.join(out, "regularity.json"), payload)]
     files.extend(emit_plot_data(fit, out, "regularity"))

@@ -96,6 +96,31 @@ class ProblemParams:
         return ProblemParams(s=self.s, q=self.q, lam=lam)
 
 
+def defect(system: "DiscreteSystem", params: ProblemParams, u: Field, g=0.0, eps=0.0) -> Field:
+    """Nodal defect A u - massw ((u + eps)^{-q} + g + lam u^{crit-1}).
+
+    ``g`` is a frozen source (scalar or nodal vector) and ``eps`` the
+    regularization level.  The critical term enters only when lam != 0, so
+    frozen-source solves (lam = 0) never form lam * u^{crit-1}.
+    """
+    src = (u + eps) ** (-params.q) + g
+    if params.lam != 0.0:
+        src = src + params.lam * u ** (params.crit - 1.0)
+    return system.stiffness @ u - system.massw * src
+
+
+def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field, eps=0.0) -> np.ndarray:
+    """Jacobian of ``defect`` in u: A + diag(massw (q (u+eps)^{-q-1} - lam (crit-1) u^{crit-2})).
+
+    Symmetric positive definite when lam = 0; the critical term can make it
+    indefinite.
+    """
+    d = params.q * system.massw * (u + eps) ** (-params.q - 1.0)
+    if params.lam != 0.0:
+        d = d - params.lam * (params.crit - 1.0) * system.massw * u ** (params.crit - 2.0)
+    return system.stiffness + np.diag(d)
+
+
 def kernel_constant(s: float) -> float:
     """Constant multiplying |z|^{-1-2s} so the symbol is |xi|^{2s} (n = 1)."""
     return normalization_constant(1, s)

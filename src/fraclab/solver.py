@@ -3,7 +3,8 @@
 The core routine solves A u = massw * ((u + eps)^{-q} + g) down a decreasing
 regularization schedule ending at eps = 0, with a damped Newton method at
 each stage.  The Jacobian A + diag(q massw (u+eps)^{-q-1}) is symmetric
-positive definite, so each stage factorizes with Cholesky.
+positive definite, so each stage factorizes with Cholesky; the same Newton
+factorizes with LU when the critical term is present (mountain-pass polish).
 
 On top of it sit the pure singular solution (g = 0), supersolution
 construction by a multiplier ladder over the torsion-like profile, and the
@@ -13,13 +14,21 @@ minimal solution of the full problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from .errors import ConvergenceError, ParameterError
-from .operator import DiscreteSystem, Field, ProblemParams, m_matrix_threshold, solve_dirichlet
+from .operator import (
+    DiscreteSystem,
+    Field,
+    ProblemParams,
+    defect,
+    jacobian,
+    m_matrix_threshold,
+    solve_dirichlet,
+)
 from .variational import energy
 
 
@@ -40,6 +49,7 @@ BRANCHES = ("pure-singular", "minimal", "mountain-pass", "extremal", "auxiliary"
 # and Newton trial iterates must keep every node above the floor.
 RESIDUAL_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-14
+NEWTON_MAX_ITER = 60
 
 
 def default_schedule() -> list:
@@ -49,30 +59,33 @@ def default_schedule() -> list:
 
 def weak_residual(system: DiscreteSystem, params: ProblemParams, u: Field) -> float:
     """Sup-norm of the nodal defect A u - massw (u^{-q} + lam u^{crit-1})."""
-    u = np.asarray(u, dtype=float)
-    r = system.stiffness @ u - system.massw * (
-        u ** (-params.q) + params.lam * u ** (params.crit - 1.0)
-    )
-    return float(np.abs(r).max())
+    return float(np.abs(defect(system, params, np.asarray(u, dtype=float))).max())
 
 
-def _stage_newton(system, params, g, u, eps, tol, max_iter=60):
-    """Damped Newton for one regularization stage.  Returns (u, iterations)."""
-    A = system.stiffness
-    mw = system.massw
-    q = params.q
-    for it in range(max_iter):
-        r = A @ u - mw * ((u + eps) ** (-q) + g)
-        cJ = cho_factor(A + np.diag(q * mw * (u + eps) ** (-q - 1.0)))
-        du = cho_solve(cJ, -r)
+def newton(system, params, u, g=0.0, eps=0.0, tol=1e-12):
+    """Damped Newton on ``defect(system, params, u, g, eps) = 0`` from ``u``.
+
+    Each step halves its length (at most 40 times) until the trial iterate
+    stays above POSITIVITY_FLOOR and lowers the defect norm; it stops when
+    the accepted step is at most ``tol`` relative to the iterate.  The
+    Jacobian is factorized with Cholesky when lam = 0 (it is then SPD) and
+    with LU otherwise.  Returns (u, iterations); raises ConvergenceError
+    when the line search stalls.
+    """
+    spd = params.lam == 0.0
+    for it in range(NEWTON_MAX_ITER):
+        r = defect(system, params, u, g, eps)
+        J = jacobian(system, params, u, eps)
+        du = cho_solve(cho_factor(J), -r) if spd else lu_solve(lu_factor(J), -r)
         t = 1.0
         rn0 = np.linalg.norm(r)
         for _ in range(40):
             ut = u + t * du
-            if ut.min() > POSITIVITY_FLOOR:
-                rt = A @ ut - mw * ((ut + eps) ** (-q) + g)
-                if np.linalg.norm(rt) < rn0:
-                    break
+            if (
+                ut.min() > POSITIVITY_FLOOR
+                and np.linalg.norm(defect(system, params, ut, g, eps)) < rn0
+            ):
+                break
             t *= 0.5
         else:
             raise ConvergenceError(
@@ -81,7 +94,35 @@ def _stage_newton(system, params, g, u, eps, tol, max_iter=60):
         u = u + t * du
         if np.linalg.norm(t * du) <= tol * (1.0 + np.linalg.norm(u)):
             return u, it + 1
-    return u, max_iter
+    return u, NEWTON_MAX_ITER
+
+
+def _continuation(system, params, g, schedule, u=None, tol=1e-12, trace=None):
+    """Newton down ``schedule`` and then at eps = 0 for the frozen source g.
+
+    ``u`` is the start iterate, or None for a cold start from the linear
+    solve at the first level.  Returns (u, total Newton iterations).
+    """
+    base = params.with_lam(0.0)
+    total = 0
+    for eps in schedule + [0.0]:
+        if u is None:
+            c = cho_factor(system.stiffness)
+            u = cho_solve(c, system.massw * (eps ** (-params.q) + g))
+        u, its = newton(system, base, u, g, eps, tol)
+        total += its
+        if trace is not None:
+            trace.append(
+                {
+                    "eps": eps,
+                    "newton_iterations": its,
+                    "stage_residual": float(np.abs(defect(system, base, u, g, eps)).max()),
+                    "values": u.copy(),
+                }
+            )
+    if u.min() <= 0.0:
+        raise ConvergenceError("solver left the positive cone")
+    return u, total
 
 
 def solve_singular_semilinear(
@@ -95,11 +136,12 @@ def solve_singular_semilinear(
 ):
     """Solve A u = massw (u^{-q} + g) by eps continuation.
 
-    ``g`` is a frozen nonnegative source (scalar or nodal vector).  Without a
-    ``start`` the full default schedule runs and its last level must be at
-    most 1e-8 of the first; with a warm start a short tail is acceptable.
-    Each stage appends a dict to ``trace`` when one is supplied.  The final
-    stage always solves the unregularized equation (eps = 0).
+    ``g`` is a frozen nonnegative source (scalar or nodal vector); lam in
+    ``params`` plays no part in the equation.  Without a ``start`` the full
+    default schedule runs and its last level must be at most 1e-8 of the
+    first; with a warm start a short tail is acceptable.  Each stage appends
+    a dict to ``trace`` when one is supplied.  The final stage always solves
+    the unregularized equation (eps = 0).
 
     Returns the positive solution field and a SolveReport on the
     ``auxiliary`` branch (callers of record wrap it under their own label).
@@ -124,27 +166,8 @@ def solve_singular_semilinear(
     if u is not None and u.min() <= 0.0:
         raise ParameterError("start iterate must be strictly positive")
 
-    total = 0
-    for eps in schedule + [0.0]:
-        if u is None:
-            c = cho_factor(system.stiffness)
-            u = cho_solve(c, system.massw * (eps ** (-params.q) + g))
-        u, its = _stage_newton(system, params, g, u, eps, tol)
-        total += its
-        if trace is not None:
-            r = system.stiffness @ u - system.massw * ((u + eps) ** (-params.q) + g)
-            trace.append(
-                {
-                    "eps": eps,
-                    "newton_iterations": its,
-                    "stage_residual": float(np.abs(r).max()),
-                    "values": u.copy(),
-                }
-            )
-    if u.min() <= 0.0:
-        raise ConvergenceError("solver left the positive cone")
-    res = system.stiffness @ u - system.massw * (u ** (-params.q) + g)
-    rmax = float(np.abs(res).max())
+    u, total = _continuation(system, params, g, schedule, u, tol, trace)
+    rmax = float(np.abs(defect(system, params.with_lam(0.0), u, g)).max())
     report = SolveReport(
         residual=rmax,
         iterations=total,
@@ -157,16 +180,8 @@ def solve_singular_semilinear(
 
 def solve_pure_singular(system: DiscreteSystem, params: ProblemParams, **kw):
     """Solution of the problem without the critical term (lam = 0)."""
-    base = params.with_lam(0.0)
-    u, rep = solve_singular_semilinear(system, base, 0.0, **kw)
-    report = SolveReport(
-        residual=rep.residual,
-        iterations=rep.iterations,
-        energy=rep.energy,
-        branch="pure-singular",
-        converged=rep.converged,
-    )
-    return u, report
+    u, rep = solve_singular_semilinear(system, params.with_lam(0.0), 0.0, **kw)
+    return u, replace(rep, branch="pure-singular")
 
 
 def default_multiplier_ladder() -> list:
@@ -206,10 +221,7 @@ def build_supersolution(
         base, _ = solve_pure_singular(system, params)
     z = solve_dirichlet(system, 1.0)
     ub = base + float(M) * z
-    r = system.stiffness @ ub - system.massw * (
-        ub ** (-params.q) + params.lam * ub ** (params.crit - 1.0)
-    )
-    worst = float(r.min())
+    worst = float(defect(system, params, ub).min())
     return SupersolutionResult(
         valid=worst >= -slack,
         multiplier=float(M),
@@ -244,13 +256,7 @@ def scan_supersolution(
         res = build_supersolution(system, params, M, base=base, slack=slack)
         best = max(best, res.worst_defect)
         if res.valid:
-            return SupersolutionResult(
-                valid=True,
-                multiplier=res.multiplier,
-                values=res.values,
-                worst_defect=res.worst_defect,
-                attempts=k + 1,
-            )
+            return replace(res, attempts=k + 1)
     return SupersolutionResult(
         valid=False,
         multiplier=None,
@@ -293,11 +299,9 @@ def monotone_iteration(
         g = params.lam * u ** (ts - 1.0)
         try:
             if k == 1:
-                unew, _ = solve_singular_semilinear(system, params, g)
+                unew, _ = _continuation(system, params, g, default_schedule())
             else:
-                unew, _ = solve_singular_semilinear(
-                    system, params, g, schedule=[1e-8], start=u
-                )
+                unew, _ = _continuation(system, params, g, [1e-8], u)
         except ConvergenceError:
             status = "inner-failure"
             break
@@ -381,10 +385,9 @@ def comparison_check(
         raise ParameterError("sources must satisfy g1 <= g2 nodewise")
     if u1.min() <= 0.0 or u2.min() <= 0.0:
         raise ParameterError("fields must be strictly positive")
-    r1 = system.stiffness @ u1 - system.massw * (u1 ** (-params.q) + g1)
-    r2 = system.stiffness @ u2 - system.massw * (u2 ** (-params.q) + g2)
-    res1 = float(np.abs(r1).max())
-    res2 = float(np.abs(r2).max())
+    base = params.with_lam(0.0)
+    res1 = float(np.abs(defect(system, base, u1, g1)).max())
+    res2 = float(np.abs(defect(system, base, u2, g2)).max())
     gap = float((u2 - u1).min())
     return ComparisonReport(
         ordered=gap >= -slack,

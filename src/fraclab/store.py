@@ -20,16 +20,6 @@ import numpy as np
 from .bifurcation import BifurcationDiagram, HolderFit
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    raise TypeError(f"not serializable: {type(obj)!r}")
-
-
 def _clean(obj):
     """Replace non-finite floats so json stays standard-compliant."""
     if isinstance(obj, dict):
@@ -46,7 +36,7 @@ def _clean(obj):
 
 
 def write_json(path, obj) -> str:
-    text = json.dumps(_clean(obj), sort_keys=True, indent=2, default=_jsonable)
+    text = json.dumps(_clean(obj), sort_keys=True, indent=2)
     with open(path, "w") as f:
         f.write(text + "\n")
     return path

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid
@@ -25,9 +25,18 @@ from .operator import (
     DiscreteSystem,
     Field,
     ProblemParams,
+    defect,
     kernel_constant,
     principal_eigenpair,
 )
+
+# Path deformation in mountain_pass_search: samples along the path, sweep
+# budget, sweeps between Newton polishes, and the relative A-distance from
+# the minimal solution below which a critical point counts as the same one.
+MP_SAMPLES = 33
+MP_MAX_SWEEPS = 4000
+MP_NEWTON_EVERY = 10
+MP_DISTINCT_TOL = 1e-2
 
 
 def energy(system: DiscreteSystem, params: ProblemParams, u: Field) -> float:
@@ -58,9 +67,7 @@ def problem_gradient(system: DiscreteSystem, params: ProblemParams, u: Field) ->
     u = np.asarray(u, dtype=float)
     if u.min() <= 0.0:
         raise ParameterError("gradient needs a strictly positive field")
-    return system.stiffness @ u - system.massw * (
-        u ** (-params.q) + params.lam * u ** (params.crit - 1.0)
-    )
+    return defect(system, params, u)
 
 
 def gateaux_derivative(
@@ -230,6 +237,28 @@ class GapReport:
         return self.ok
 
 
+def golden_section_max(f, a, b, tol):
+    """Midpoint of a golden-section bracket on a maximum of f in [a, b].
+
+    Each interior point is evaluated once; the search stops when the
+    bracket is at most ``tol`` wide.
+    """
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _ray_peak(system, params, base, direction, base_level):
     """Maximum of t -> I(base + t * direction) over t >= 0."""
     def level(t):
@@ -243,18 +272,7 @@ def _ray_peak(system, params, base, direction, base_level):
     i = int(np.argmax(vals))
     lo = tg[max(i - 1, 0)]
     hi = tg[min(i + 1, len(tg) - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a1, b1 = lo, hi
-    c1 = b1 - gr * (b1 - a1)
-    d1 = a1 + gr * (b1 - a1)
-    while b1 - a1 > 1e-10 * max(1.0, b1):
-        if level(c1) > level(d1):
-            b1, d1 = d1, c1
-            c1 = b1 - gr * (b1 - a1)
-        else:
-            a1, c1 = c1, d1
-            d1 = a1 + gr * (b1 - a1)
-    t_best = 0.5 * (a1 + b1)
+    t_best = golden_section_max(level, lo, hi, 1e-10 * max(1.0, hi))
     return max(level(t_best), base_level)
 
 
@@ -305,96 +323,29 @@ def energy_gap_check(
     )
 
 
-def _shell_probe(system, params, first, sigma, cA, max_iter=200):
-    """Minimize the energy over the cone slice at A-distance sigma from first.
+def _polish_critical_point(system, params, v0, floor, floor_level):
+    """Newton on the unregularized gradient from v0, with acceptance gates.
 
-    Projected descent: the A-preconditioned gradient loses its component
-    along the shell normal, trial points are clipped to the cone above
-    ``first`` and rescaled back to the shell.  Returns (field, level,
-    residual); the caller judges whether the minimum is flat enough to count.
+    The Jacobian here is indefinite (the critical term pushes down), so
+    ``newton`` factorizes with LU.  The limit is accepted only if its
+    gradient has 2-norm below 1e-12, it stays in the cone above the floor,
+    sits strictly above the floor level, and is A-distant from the floor;
+    otherwise None.
     """
+    from .solver import newton  # local import to avoid a cycle
+
     A = system.stiffness
-
-    def anorm(v):
-        return math.sqrt(max(v @ (A @ v), 0.0))
-
-    def project(u):
-        d = np.maximum(u, first) - first
-        nd = anorm(d)
-        if nd <= 1e-30:
-            return None
-        return first + (sigma / nd) * d
-
-    z = cho_solve(cA, system.massw)
-    u = project(first + z)
-    if u is None:
-        raise ConvergenceError("shell projection collapsed onto the base point")
-    lev = energy(system, params, u)
-    step = 1.0
-    for _ in range(max_iter):
-        r = u - first
-        nr2 = max(r @ (A @ r), 1e-300)
-        d = cho_solve(cA, problem_gradient(system, params, u))
-        d = d - ((d @ (A @ r)) / nr2) * r
-        if anorm(d) <= 1e-14 * max(1.0, sigma):
-            break
-        moved = False
-        while step > 1e-12:
-            cand = project(u - step * d)
-            if cand is not None:
-                lc = energy(system, params, cand)
-                if lc < lev - 1e-15 * max(1.0, abs(lev)):
-                    u, lev, moved = cand, lc, True
-                    step = min(step * 1.3, 1.0)
-                    break
-            step *= 0.5
-        if not moved:
-            break
-    residual = float(np.abs(problem_gradient(system, params, u)).max())
-    return u, float(lev), residual
-
-
-def _polish_critical_point(system, params, v0, floor, floor_level, distinct_tol):
-    """Full Newton on the unregularized gradient, with acceptance gates.
-
-    The Jacobian here is indefinite (the critical term pushes down), so the
-    factorization is LU.  A candidate is accepted only if it stays in the
-    cone above the floor, sits strictly above the floor level, and is
-    A-distant from the floor; otherwise None.
-    """
-    A = system.stiffness
-    mw = system.massw
-    q = params.q
-    ts = params.crit
-    lam = params.lam
-    v = v0.copy()
+    try:
+        v, _ = newton(system, params, v0)
+    except (ConvergenceError, np.linalg.LinAlgError):
+        return None
+    if not np.linalg.norm(problem_gradient(system, params, v)) < 1e-12:
+        return None
     floor_norm = math.sqrt(max(floor @ (A @ floor), 1e-300))
-    for _ in range(60):
-        F = problem_gradient(system, params, v)
-        J = A + np.diag(q * mw * v ** (-q - 1.0) - lam * (ts - 1.0) * mw * v ** (ts - 2.0))
-        try:
-            dv = lu_solve(lu_factor(J), -F)
-        except np.linalg.LinAlgError:
-            return None
-        t, n0 = 1.0, np.linalg.norm(F)
-        for _ in range(40):
-            vt = v + t * dv
-            if vt.min() > 0 and np.linalg.norm(problem_gradient(system, params, vt)) < n0:
-                break
-            t *= 0.5
-        else:
-            return None
-        v = v + t * dv
-        if np.linalg.norm(problem_gradient(system, params, v)) < 1e-12:
-            diff = v - floor
-            dist = math.sqrt(max(diff @ (A @ diff), 0.0)) / floor_norm
-            if (
-                dist > distinct_tol
-                and diff.min() >= -1e-8
-                and energy(system, params, v) > floor_level
-            ):
-                return v
-            return None
+    diff = v - floor
+    dist = math.sqrt(max(diff @ (A @ diff), 0.0)) / floor_norm
+    if dist > MP_DISTINCT_TOL and diff.min() >= -1e-8 and energy(system, params, v) > floor_level:
+        return v
     return None
 
 
@@ -402,34 +353,31 @@ def mountain_pass_search(
     system: DiscreteSystem,
     params: ProblemParams,
     first: Field,
-    bubble: Bubble | None = None,
     sobolev: float | None = None,
     eps: float = 0.02,
     nu: float | None = None,
-    npts: int = 33,
-    max_sweeps: int = 4000,
-    newton_every: int = 10,
-    grad_tol: float = 1e-6,
-    distinct_tol: float = 1e-2,
     trace: list | None = None,
 ):
     """Locate a second solution above the minimal one at the same lam.
 
     A path from the minimal solution to a far point along a bubble direction
-    is relaxed by a climbing elastic band: every interior sample moves down
-    the A-preconditioned gradient with the component along the path tangent
+    (``make_bubble`` at scale ``eps`` and cutoff ``nu``) is relaxed by a
+    climbing elastic band: every interior sample moves down the
+    A-preconditioned gradient with the component along the path tangent
     removed, except the highest sample, which moves up that component
     instead.  Steps are capped by a quarter of the sample spacing, samples
     are projected onto the cone above the minimal solution, and the path is
-    rebalanced by A-arclength each sweep.  Every ``newton_every`` sweeps the
-    highest sample seeds a full Newton polish; the first polished point that
-    is distinct from the minimal solution, inside the cone, and above its
-    level is returned.
+    rebalanced by A-arclength each sweep.  Every MP_NEWTON_EVERY sweeps, and
+    after a sweep that could not keep the peak from rising, the highest
+    sample seeds a Newton polish; the first polished point that is distinct
+    from the minimal solution, inside the cone, and above its level is
+    returned.  Each sweep appends one record (stage ``deform``) to ``trace``
+    when one is supplied.
 
     Returns the second solution and a report on the ``mountain-pass``
     branch.  Raises ConvergenceError when the budget runs out.
     """
-    from .solver import SolveReport  # local import to avoid a cycle
+    from .solver import RESIDUAL_TOL, SolveReport  # local import to avoid a cycle
 
     if params.lam <= 0.0:
         raise ParameterError("a second solution needs lam > 0")
@@ -438,11 +386,9 @@ def mountain_pass_search(
         raise ParameterError("the base solution must be strictly positive")
     A = system.stiffness
     cA = cho_factor(A)
-    if bubble is None:
-        if sobolev is None:
-            sobolev = sobolev_constant(system)
-        bubble = make_bubble(system.grid, params, eps, sobolev, nu=nu)
-    direction = bubble.values
+    if sobolev is None:
+        sobolev = sobolev_constant(system)
+    direction = make_bubble(system.grid, params, eps, sobolev, nu=nu).values
     base_level = energy(system, params, first)
 
     def anorm(v):
@@ -451,52 +397,19 @@ def mountain_pass_search(
     def level(u):
         return energy(system, params, u)
 
-    # Stage one: probe for a zero-altitude minimizer on small shells around
-    # the base point.  A flat minimum that already solves the equation wins
-    # outright; the usual outcome is a decline and a fall-through to the
-    # path deformation below.
-    first_norm = anorm(first)
-    for frac in (0.05, 0.1, 0.2):
-        sigma = frac * first_norm
-        v, lev, residual = _shell_probe(system, params, first, sigma, cA)
-        accept = (
-            lev <= base_level + 1e-8
-            and residual <= 1e-6
-            and anorm(v - first) / max(first_norm, 1e-30) > distinct_tol
-        )
-        if trace is not None:
-            trace.append(
-                {
-                    "stage": "shell",
-                    "sigma": float(sigma),
-                    "level": float(lev),
-                    "residual": float(residual),
-                    "accepted": bool(accept),
-                }
-            )
-        if accept:
-            report = SolveReport(
-                residual=residual,
-                iterations=0,
-                energy=lev,
-                branch="mountain-pass",
-                converged=True,
-            )
-            return v, report
-
     radius = 0.5
     while level(first + radius * direction) >= base_level and radius < 1e6:
         radius *= 2.0
     if radius >= 1e6:
         raise ConvergenceError("could not find a far endpoint below the base level")
 
-    tgrid = np.linspace(0.0, 1.0, npts)
+    tgrid = np.linspace(0.0, 1.0, MP_SAMPLES)
     path = [first + t * radius * direction for t in tgrid]
-    spacing = anorm(radius * direction) / (npts - 1)
+    spacing = anorm(radius * direction) / (MP_SAMPLES - 1)
 
     def rebalance(p):
         arc = [0.0]
-        for j in range(1, npts):
+        for j in range(1, MP_SAMPLES):
             arc.append(arc[-1] + anorm(p[j] - p[j - 1]))
         arc = np.array(arc)
         if arc[-1] <= 0.0:
@@ -505,7 +418,7 @@ def mountain_pass_search(
         out = [p[0]]
         for tj in tgrid[1:-1]:
             i = int(np.searchsorted(rel, tj, side="right")) - 1
-            i = min(max(i, 0), npts - 2)
+            i = min(max(i, 0), MP_SAMPLES - 2)
             fr = (tj - rel[i]) / max(rel[i + 1] - rel[i], 1e-30)
             out.append(np.maximum(p[i] * (1.0 - fr) + p[i + 1] * fr, first))
         out.append(p[-1])
@@ -514,7 +427,7 @@ def mountain_pass_search(
     found = None
     sweeps = 0
     levels = np.array([level(p) for p in path])
-    for sweep in range(max_sweeps):
+    for sweep in range(MP_MAX_SWEEPS):
         sweeps = sweep + 1
         jmax = int(np.argmax(levels))
         peak_before = float(levels[jmax])
@@ -525,7 +438,7 @@ def mountain_pass_search(
         # otherwise the step caps shrink and the sweep reruns.
         for _ in range(8):
             newpath = [path[0]]
-            for j in range(1, npts - 1):
+            for j in range(1, MP_SAMPLES - 1):
                 u = path[j]
                 d = cho_solve(cA, problem_gradient(system, params, u))
                 tau = path[j + 1] - path[j - 1]
@@ -543,18 +456,16 @@ def mountain_pass_search(
             cand_levels = np.array([level(p) for p in cand_path])
             if float(cand_levels.max()) <= peak_before + 1e-12 * max(1.0, abs(peak_before)):
                 path = cand_path
-                spacing = arclen / (npts - 1)
+                spacing = arclen / (MP_SAMPLES - 1)
                 levels = cand_levels
                 accepted = True
                 break
             scale *= 0.5
             backtracks += 1
         jmax = int(np.argmax(levels))
-        g = problem_gradient(system, params, path[jmax])
-        pg = anorm(cho_solve(cA, g))
-        diff = path[jmax] - first
-        distinct = anorm(diff) / max(anorm(first), 1e-30) > distinct_tol
         if trace is not None:
+            pg = anorm(cho_solve(cA, problem_gradient(system, params, path[jmax])))
+            distinct = anorm(path[jmax] - first) / max(anorm(first), 1e-30) > MP_DISTINCT_TOL
             trace.append(
                 {
                     "stage": "deform",
@@ -567,16 +478,10 @@ def mountain_pass_search(
                     "backtracks": backtracks,
                 }
             )
-        if not accepted or (sweep + 1) % newton_every == 0:
-            cand = _polish_critical_point(
-                system, params, path[jmax], first, base_level, distinct_tol
-            )
-            if cand is not None:
-                found = cand
+        if not accepted or (sweep + 1) % MP_NEWTON_EVERY == 0:
+            found = _polish_critical_point(system, params, path[jmax], first, base_level)
+            if found is not None:
                 break
-        if pg <= grad_tol and distinct:
-            found = path[jmax]
-            break
         if not accepted:
             raise ConvergenceError(
                 f"deformation stalled at level {float(levels[jmax])!r} "
@@ -584,7 +489,7 @@ def mountain_pass_search(
             )
     if found is None:
         raise ConvergenceError(
-            f"no distinct critical point located within {max_sweeps} sweeps; "
+            f"no distinct critical point located within {MP_MAX_SWEEPS} sweeps; "
             f"last level {float(levels.max())!r}"
         )
     res = float(np.abs(problem_gradient(system, params, found)).max())
@@ -593,6 +498,6 @@ def mountain_pass_search(
         iterations=sweeps,
         energy=level(found),
         branch="mountain-pass",
-        converged=True,
+        converged=res <= RESIDUAL_TOL,
     )
     return found, report

@@ -1,5 +1,7 @@
 """Tests for the regularized continuation solver and the monotone machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,15 @@ def test_monotone_iteration_divergence(system128, params_s04q2, w128):
     assert not report.converged
     assert report.residual == np.inf
     assert report.iterations < 50
+
+
+def test_monotone_divergence_stays_silent(system128, params_s04q2, w128):
+    """a diverging run reports failure without numeric warnings on the way"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, report = monotone_iteration(system128, params_s04q2.with_lam(0.2), base=w128)
+    assert not report.converged
+    assert u.max() > 1e6
 
 
 @pytest.mark.xfail(

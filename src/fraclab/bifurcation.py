@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import ConvergenceError, ParameterError
 from .grid import Grid, boundary_distance
 from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair
 from .solver import (
+    MONOTONE_CAP,
     SolveReport,
     scan_supersolution,
     monotone_iteration,
@@ -69,8 +70,6 @@ def estimate_lambda_star(
     system: DiscreteSystem,
     params: ProblemParams,
     rel_tol: float = 1e-2,
-    ladder=None,
-    cap: int = 500,
     base: Field | None = None,
 ) -> LambdaStarResult:
     """Bisect the largest lam with a validated supersolution and settled iteration.
@@ -78,7 +77,7 @@ def estimate_lambda_star(
     Feasibility at a trial lam requires both a supersolution from the
     multiplier ladder and convergence of the monotone iteration under it.
     The search runs on [0, lambda_certificate].  A trial where the
-    iteration hits its cap while still monotone and below its bound is
+    iteration hits MONOTONE_CAP while still monotone and below its bound is
     indeterminate; it is treated as infeasible and the result is flagged.
     lam carried by ``params`` is ignored here.  ``base`` may pass a
     precomputed pure singular solution.
@@ -92,15 +91,13 @@ def estimate_lambda_star(
     def feasible(lam):
         nonlocal flagged
         p = params.with_lam(lam)
-        sup = scan_supersolution(system, p, base=w, ladder=ladder)
+        sup = scan_supersolution(system, p, base=w)
         if not sup.valid:
             evaluations.append((float(lam), False, None, 0))
             return False
         trace = []
-        u, rep = monotone_iteration(
-            system, p, base=w, bound=sup.values, cap=cap, trace=trace
-        )
-        if not rep.converged and rep.iterations >= cap:
+        u, rep = monotone_iteration(system, p, base=w, bound=sup.values, trace=trace)
+        if not rep.converged and rep.iterations >= MONOTONE_CAP:
             monotone = all(t["min_increment"] >= -1e-10 for t in trace)
             bounded = all(t.get("below_bound", True) for t in trace)
             if monotone and bounded:
@@ -156,7 +153,6 @@ def sweep_lambda(
     params: ProblemParams,
     lambdas,
     second: bool = False,
-    cap: int = 500,
     lambda_star: tuple | None = None,
 ) -> BifurcationDiagram:
     """Trace the minimal branch over ``lambdas``, optionally with the second one.
@@ -164,7 +160,8 @@ def sweep_lambda(
     Values are visited in increasing order and each minimal solve warm-starts
     from the previous one, which stays below the next minimal solution and
     keeps the iteration monotone.  With ``second`` a mountain-pass search
-    runs at each value where the minimal branch converged.
+    runs at each value where the minimal branch converged.  Each entry
+    carries the report of the solve behind it.
     """
     lams = sorted(float(l) for l in lambdas)
     if any(l < 0.0 for l in lams):
@@ -178,49 +175,17 @@ def sweep_lambda(
     for lam in lams:
         p = params.with_lam(lam)
         if lam == 0.0:
-            entries.append(
-                DiagramEntry(
-                    lam=0.0,
-                    branch="pure-singular",
-                    sup=float(w.max()),
-                    energy=wrep.energy,
-                    residual=wrep.residual,
-                    iterations=wrep.iterations,
-                    converged=True,
-                )
-            )
+            entries.append(DiagramEntry(lam=0.0, sup=float(w.max()), **asdict(wrep)))
             continue
-        u, rep = monotone_iteration(system, p, base=prev, cap=cap)
+        u, rep = monotone_iteration(system, p, base=prev)
         sup = float(u.max()) if rep.converged else float("nan")
-        entries.append(
-            DiagramEntry(
-                lam=lam,
-                branch="minimal",
-                sup=sup,
-                energy=rep.energy,
-                residual=rep.residual,
-                iterations=rep.iterations,
-                converged=rep.converged,
-            )
-        )
+        entries.append(DiagramEntry(lam=lam, sup=sup, **asdict(rep)))
         if rep.converged:
             prev = u
             if second:
                 try:
-                    v, vrep = mountain_pass_search(
-                        system, p, u, sobolev=sob
-                    )
-                    entries.append(
-                        DiagramEntry(
-                            lam=lam,
-                            branch="mountain-pass",
-                            sup=float(v.max()),
-                            energy=vrep.energy,
-                            residual=vrep.residual,
-                            iterations=vrep.iterations,
-                            converged=True,
-                        )
-                    )
+                    v, vrep = mountain_pass_search(system, p, u, sobolev=sob)
+                    entries.append(DiagramEntry(lam=lam, sup=float(v.max()), **asdict(vrep)))
                 except ConvergenceError:
                     entries.append(
                         DiagramEntry(
@@ -245,7 +210,6 @@ def extremal_solution(
     params: ProblemParams,
     lam_star: float | None = None,
     rungs: int = 8,
-    cap: int = 500,
     trace: list | None = None,
 ):
     """Climb a geometric ladder lam_star (1 - 2^{-m}) toward the extremal value.
@@ -270,7 +234,7 @@ def extremal_solution(
     for m in range(1, rungs + 1):
         lam_m = lam_star * (1.0 - 2.0 ** (-m))
         p = params.with_lam(lam_m)
-        u_new, rep = monotone_iteration(system, p, base=u, cap=cap)
+        u_new, rep = monotone_iteration(system, p, base=u)
         if trace is not None:
             trace.append(
                 {
@@ -413,6 +377,10 @@ def boundary_profile(system: DiscreteSystem, params: ProblemParams) -> Field:
     return phi ** (2.0 / (q + 1.0))
 
 
+# Boundary window of boundary_sandwich, as a fraction of the interval length.
+SANDWICH_WIDTH_FRAC = 0.1
+
+
 @dataclass(frozen=True)
 class SandwichReport:
     """Two-sided pinch of a field between multiples of the boundary profile."""
@@ -430,23 +398,20 @@ def boundary_sandwich(
     system: DiscreteSystem,
     params: ProblemParams,
     u: Field,
-    width_frac: float = 0.1,
 ) -> SandwichReport:
     """Pinch constants k_low, k_high with k_low*profile <= u <= k_high*profile.
 
     The constants are the extreme ratios of u to the boundary profile over
-    nodes within the fit window, so both inequalities are tight at some
-    node.  A well-behaved solution keeps the two constants within a modest
-    factor of each other.
+    nodes within SANDWICH_WIDTH_FRAC of the interval length from an
+    endpoint, so both inequalities are tight at some node.  A well-behaved
+    solution keeps the two constants within a modest factor of each other.
     """
     u = np.asarray(u, dtype=float)
     if u.min() <= 0.0:
         raise ParameterError("sandwich needs a strictly positive field")
-    if not 0.0 < width_frac <= 0.5:
-        raise ParameterError("width fraction must lie in (0, 1/2]")
     grid = system.grid
     delta = boundary_distance(grid)
-    width = width_frac * (grid.b - grid.a)
+    width = SANDWICH_WIDTH_FRAC * (grid.b - grid.a)
     mask = delta <= width
     if not mask.any():
         raise ParameterError("no nodes inside the sandwich window")

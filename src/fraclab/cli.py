@@ -68,7 +68,6 @@ class RunConfig:
     n: int = 256
     a: float = -1.0
     b: float = 1.0
-    tol_residual: float = 1e-9
     tol_bracket: float = 1e-2
     fit_window: float = 0.1
     nu: float | None = None
@@ -82,9 +81,8 @@ class RunConfig:
             raise ParameterError(f"need at least 2 nodes, got {self.n}")
         if not self.b > self.a:
             raise ParameterError(f"need b > a, got ({self.a}, {self.b})")
-        for name in ("tol_residual", "tol_bracket"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be positive")
+        if self.tol_bracket <= 0.0:
+            raise ParameterError("tol_bracket must be positive")
         if not 0.0 < self.fit_window < 0.5:
             raise ParameterError("fit_window must lie in (0, 1/2)")
         if self.nu is not None and self.nu <= 0.0:
@@ -149,7 +147,6 @@ _FILE_KEYS = {
     "n": ("n", int),
     "a": ("a", float),
     "b": ("b", float),
-    "tol_residual": ("tol_residual", float),
     "tol_bracket": ("tol_bracket", float),
     "fit_window": ("fit_window", float),
     "nu": ("nu", float),
@@ -173,8 +170,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             except ValueError as exc:
                 raise ParameterError(f"bad value for {key}: {text!r}") from exc
     for name in (
-        "s", "q", "n", "a", "b", "tol_residual", "tol_bracket",
-        "fit_window", "nu", "seed", "output_dir",
+        "s", "q", "n", "a", "b", "tol_bracket", "fit_window", "nu", "seed",
+        "output_dir",
     ):
         cli_val = getattr(args, name, None)
         if cli_val is not None:
@@ -362,15 +359,7 @@ def cmd_regularity(cfg: RunConfig) -> int:
     payload = {
         "params": {"s": params.s, "q": params.q},
         "fit": {
-            "alpha_fit": fit.alpha_fit,
-            "alpha_theory": fit.alpha_theory,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "rsq": fit.rsq,
-            "n_nodes": fit.n_nodes,
-            "width": fit.width,
-            "log_correction": fit.log_correction,
-            "trusted": fit.trusted,
+            k: v for k, v in asdict(fit).items() if k not in ("regressor", "log_values")
         },
         "report": asdict(rep),
     }
@@ -522,7 +511,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--N", type=int, dest="n", help="interior node count")
     common.add_argument("--a", type=float, dest="a", help="left endpoint")
     common.add_argument("--b", type=float, dest="b", help="right endpoint")
-    common.add_argument("--tol-residual", type=float, dest="tol_residual")
     common.add_argument("--tol-bracket", type=float, dest="tol_bracket")
     common.add_argument("--fit-window", type=float, dest="fit_window")
     common.add_argument("--nu", type=float, dest="nu", help="bubble cutoff radius")

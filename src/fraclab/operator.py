@@ -10,12 +10,18 @@ integrals below run over the whole real line.
 
 The singular kernel is scaled by the usual normalization constant so that
 the operator's symbol is |xi|^{2s}.
+
+The assembled ``DiscreteSystem`` is the one owner of the stiffness matrix's
+Cholesky factor and of the torsion field (the solution with unit source):
+both are computed once, on first use, and every linear solve against the
+stiffness matrix goes through them.  The system's arrays are read-only, so
+neither cached value can go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
@@ -176,12 +182,33 @@ def m_matrix_threshold() -> float:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled stiffness matrix and lumped mass weights on a grid."""
+    """Assembled stiffness matrix and lumped mass weights on a grid.
+
+    ``assemble`` marks both arrays read-only.  The system owns the Cholesky
+    factor of the stiffness matrix and the torsion field; each is computed
+    on first use and kept for the life of the system.
+    """
 
     grid: Grid
     s: float
     stiffness: np.ndarray
     massw: np.ndarray
+
+    @cached_property
+    def factor(self):
+        """Cholesky factor of the stiffness matrix, as ``cho_solve`` takes it."""
+        return cho_factor(self.stiffness)
+
+    def solve(self, rhs: Field) -> Field:
+        """Solution x of A x = rhs, from the cached factor."""
+        return cho_solve(self.factor, rhs)
+
+    @cached_property
+    def torsion(self) -> Field:
+        """Read-only solution of the linear problem with unit source."""
+        z = solve_dirichlet(self, 1.0)
+        z.flags.writeable = False
+        return z
 
 
 def assemble(grid: Grid, s: float) -> DiscreteSystem:
@@ -195,6 +222,8 @@ def assemble(grid: Grid, s: float) -> DiscreteSystem:
     col = kernel_constant(s) * grid.h ** (1.0 - 2.0 * s) * interaction_column(grid.n - 1, s)
     stiffness = toeplitz(col)
     massw = np.full(grid.n, grid.h)
+    stiffness.flags.writeable = False
+    massw.flags.writeable = False
     return DiscreteSystem(grid=grid, s=float(s), stiffness=stiffness, massw=massw)
 
 
@@ -206,18 +235,35 @@ def apply_operator(system: DiscreteSystem, u: Field) -> Field:
     return system.stiffness @ u
 
 
+def nodal_source(system: DiscreteSystem, f, name: str) -> Field:
+    """Broadcast a scalar or nodal source ``f`` to the grid, read-only.
+
+    Raises ParameterError when ``f`` does not broadcast to the node count or
+    has a non-finite entry; ``name`` labels the source in the message.
+    """
+    n = system.grid.n
+    try:
+        f = np.broadcast_to(np.asarray(f, dtype=float), (n,))
+    except ValueError as exc:
+        raise ParameterError(
+            f"{name} of shape {np.shape(f)} does not match grid size {n}"
+        ) from exc
+    if not np.all(np.isfinite(f)):
+        raise ParameterError(f"{name} has non-finite entries")
+    return f
+
+
 def solve_dirichlet(system: DiscreteSystem, f) -> Field:
     """Solve the linear problem with nodal source ``f`` and zero exterior data.
 
     ``f`` may be a scalar or a nodal vector; the discrete right-hand side is
-    the lumped load massw * f.  The factorization is checked a posteriori and
-    a relative residual above 1e-10 raises ConvergenceError.
+    the lumped load massw * f, solved against the system's cached factor.
+    A wrong shape or a non-finite entry raises ParameterError.  The solve is
+    checked a posteriori and a relative residual above 1e-10 raises
+    ConvergenceError.
     """
-    n = system.grid.n
-    f = np.broadcast_to(np.asarray(f, dtype=float), (n,))
-    rhs = system.massw * f
-    c = cho_factor(system.stiffness)
-    u = cho_solve(c, rhs)
+    rhs = system.massw * nodal_source(system, f, "source f")
+    u = system.solve(rhs)
     scale = np.linalg.norm(rhs)
     res = np.linalg.norm(system.stiffness @ u - rhs)
     if scale > 0 and res > 1e-10 * scale:

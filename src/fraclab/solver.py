@@ -27,6 +27,7 @@ from .operator import (
     defect,
     jacobian,
     m_matrix_threshold,
+    nodal_source,
     solve_dirichlet,
 )
 from .variational import energy
@@ -46,10 +47,21 @@ class SolveReport:
 BRANCHES = ("pure-singular", "minimal", "mountain-pass", "extremal", "auxiliary")
 
 # A solve counts as converged when its unregularized defect is this small,
-# and Newton trial iterates must keep every node above the floor.
+# and Newton trial iterates must keep every node above the floor.  Newton
+# stops once its accepted step is NEWTON_STEP_TOL relative to the iterate.
 RESIDUAL_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-14
 NEWTON_MAX_ITER = 60
+NEWTON_STEP_TOL = 1e-12
+
+# Nodal slack of the supersolution, comparison and envelope verdicts.
+ORDER_SLACK = 1e-8
+
+# Monotone iteration: step budget, the sup-norm change at which it has
+# settled, and the sup norm beyond which it counts as diverged.
+MONOTONE_CAP = 500
+MONOTONE_TOL = 1e-9
+DIVERGENCE_SUP = 1e6
 
 
 def default_schedule() -> list:
@@ -62,14 +74,14 @@ def weak_residual(system: DiscreteSystem, params: ProblemParams, u: Field) -> fl
     return float(np.abs(defect(system, params, np.asarray(u, dtype=float))).max())
 
 
-def newton(system, params, u, g=0.0, eps=0.0, tol=1e-12):
+def newton(system, params, u, g=0.0, eps=0.0):
     """Damped Newton on ``defect(system, params, u, g, eps) = 0`` from ``u``.
 
     Each step halves its length (at most 40 times) until the trial iterate
     stays above POSITIVITY_FLOOR and lowers the defect norm; it stops when
-    the accepted step is at most ``tol`` relative to the iterate.  The
-    Jacobian is factorized with Cholesky when lam = 0 (it is then SPD) and
-    with LU otherwise.  Returns (u, iterations); raises ConvergenceError
+    the accepted step is at most NEWTON_STEP_TOL relative to the iterate.
+    The Jacobian is factorized with Cholesky when lam = 0 (it is then SPD)
+    and with LU otherwise.  Returns (u, iterations); raises ConvergenceError
     when the line search stalls.
     """
     spd = params.lam == 0.0
@@ -92,12 +104,12 @@ def newton(system, params, u, g=0.0, eps=0.0, tol=1e-12):
                 f"line search stalled at eps={eps:g} after {it} Newton steps"
             )
         u = u + t * du
-        if np.linalg.norm(t * du) <= tol * (1.0 + np.linalg.norm(u)):
+        if np.linalg.norm(t * du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
             return u, it + 1
     return u, NEWTON_MAX_ITER
 
 
-def _continuation(system, params, g, schedule, u=None, tol=1e-12, trace=None):
+def _continuation(system, params, g, schedule, u=None, trace=None):
     """Newton down ``schedule`` and then at eps = 0 for the frozen source g.
 
     ``u`` is the start iterate, or None for a cold start from the linear
@@ -107,9 +119,8 @@ def _continuation(system, params, g, schedule, u=None, tol=1e-12, trace=None):
     total = 0
     for eps in schedule + [0.0]:
         if u is None:
-            c = cho_factor(system.stiffness)
-            u = cho_solve(c, system.massw * (eps ** (-params.q) + g))
-        u, its = newton(system, base, u, g, eps, tol)
+            u = solve_dirichlet(system, eps ** (-params.q) + g)
+        u, its = newton(system, base, u, g, eps)
         total += its
         if trace is not None:
             trace.append(
@@ -131,25 +142,22 @@ def solve_singular_semilinear(
     g=0.0,
     schedule=None,
     start: Field | None = None,
-    tol: float = 1e-12,
     trace: list | None = None,
 ):
     """Solve A u = massw (u^{-q} + g) by eps continuation.
 
-    ``g`` is a frozen nonnegative source (scalar or nodal vector); lam in
-    ``params`` plays no part in the equation.  Without a ``start`` the full
-    default schedule runs and its last level must be at most 1e-8 of the
-    first; with a warm start a short tail is acceptable.  Each stage appends
+    ``g`` is a frozen nonnegative source (scalar or nodal vector; a wrong
+    shape or a non-finite entry raises ParameterError); lam in ``params``
+    plays no part in the equation.  Without a ``start`` the full default
+    schedule runs and its last level must be at most 1e-8 of the first;
+    with a warm start a short tail is acceptable.  Each stage appends
     a dict to ``trace`` when one is supplied.  The final stage always solves
     the unregularized equation (eps = 0).
 
     Returns the positive solution field and a SolveReport on the
     ``auxiliary`` branch (callers of record wrap it under their own label).
     """
-    n = system.grid.n
-    g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()
-    if not np.all(np.isfinite(g)):
-        raise ParameterError("source g has non-finite entries")
+    g = nodal_source(system, g, "source g")
     if g.min() < 0.0:
         raise ParameterError(f"source g must be nonnegative, min is {g.min():g}")
     if schedule is None:
@@ -166,7 +174,7 @@ def solve_singular_semilinear(
     if u is not None and u.min() <= 0.0:
         raise ParameterError("start iterate must be strictly positive")
 
-    u, total = _continuation(system, params, g, schedule, u, tol, trace)
+    u, total = _continuation(system, params, g, schedule, u, trace)
     rmax = float(np.abs(defect(system, params.with_lam(0.0), u, g)).max())
     report = SolveReport(
         residual=rmax,
@@ -205,25 +213,25 @@ def build_supersolution(
     params: ProblemParams,
     M: float,
     base: Field | None = None,
-    slack: float = 1e-8,
 ) -> SupersolutionResult:
     """Check whether ubar = w + M z dominates the full problem nodewise.
 
-    w is the pure singular solution, z solves the linear problem with unit
-    source.  The candidate is valid when its defect
-    A ubar - massw (ubar^{-q} + lam ubar^{crit-1}) is >= -slack at every
-    node.  M = 0 is permitted (the check then reduces to whether w itself
-    absorbs the critical term, true only at lam = 0); negative M is not.
+    w is the pure singular solution, z the system's torsion field (the
+    linear solution with unit source), so no linear solve happens here.  The
+    candidate is valid when its defect
+    A ubar - massw (ubar^{-q} + lam ubar^{crit-1}) is >= -ORDER_SLACK at
+    every node.  M = 0 is permitted (the check then reduces to whether w
+    itself absorbs the critical term, true only at lam = 0); negative M is
+    not.
     """
     if not M >= 0.0:
         raise ParameterError(f"multiplier must be nonnegative, got {M}")
     if base is None:
         base, _ = solve_pure_singular(system, params)
-    z = solve_dirichlet(system, 1.0)
-    ub = base + float(M) * z
+    ub = base + float(M) * system.torsion
     worst = float(defect(system, params, ub).min())
     return SupersolutionResult(
-        valid=worst >= -slack,
+        valid=worst >= -ORDER_SLACK,
         multiplier=float(M),
         values=ub,
         worst_defect=worst,
@@ -235,25 +243,19 @@ def scan_supersolution(
     system: DiscreteSystem,
     params: ProblemParams,
     base: Field | None = None,
-    ladder=None,
-    slack: float = 1e-8,
 ) -> SupersolutionResult:
-    """Scan a multiplier ladder for the first valid supersolution.
+    """Scan ``default_multiplier_ladder`` for the first valid supersolution.
 
     The first multiplier that validates wins; when none does, the result
     carries valid=False and ``worst_defect`` reports the best (largest)
     minimum defect seen across the ladder.
     """
-    if ladder is None:
-        ladder = default_multiplier_ladder()
-    ladder = [float(M) for M in ladder]
-    if any(M < 0.0 for M in ladder):
-        raise ParameterError("multipliers must be nonnegative")
+    ladder = default_multiplier_ladder()
     if base is None:
         base, _ = solve_pure_singular(system, params)
     best = -np.inf
     for k, M in enumerate(ladder):
-        res = build_supersolution(system, params, M, base=base, slack=slack)
+        res = build_supersolution(system, params, M, base=base)
         best = max(best, res.worst_defect)
         if res.valid:
             return replace(res, attempts=k + 1)
@@ -271,9 +273,7 @@ def monotone_iteration(
     params: ProblemParams,
     base: Field | None = None,
     bound: Field | None = None,
-    cap: int = 500,
-    tol: float = 1e-9,
-    divergence_sup: float = 1e6,
+    cap: int = MONOTONE_CAP,
     trace: list | None = None,
 ):
     """Iterate L(u_k) = lam u_{k-1}^{crit-1} upward from the pure singular w.
@@ -282,8 +282,9 @@ def monotone_iteration(
     the previous iterate.  The sequence is nondecreasing; its limit, when
     the sup norms stay bounded, is the minimal solution.  ``bound`` may
     carry a validated supersolution, in which case every iterate is checked
-    against it.  Divergence (sup norm beyond ``divergence_sup``) or hitting
-    ``cap`` returns converged=False.
+    against it.  The iteration has settled when a step changes no node by
+    more than MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP) or
+    hitting ``cap`` returns converged=False.
     """
     if params.lam < 0.0:
         raise ParameterError("lam must be nonnegative")
@@ -320,10 +321,10 @@ def monotone_iteration(
         if bound is not None and np.any(u > bound + 1e-6 * (1.0 + np.abs(bound))):
             status = "escaped-bound"
             break
-        if u.max() > divergence_sup:
+        if u.max() > DIVERGENCE_SUP:
             status = "diverged"
             break
-        if np.abs(inc).max() <= tol:
+        if np.abs(inc).max() <= MONOTONE_TOL:
             status = "converged"
             break
     converged = status == "converged"
@@ -365,22 +366,19 @@ def comparison_check(
     u2: Field,
     g1,
     g2,
-    slack: float = 1e-8,
-    residual_tol: float = 1e-8,
 ) -> ComparisonReport:
-    """Check u1 <= u2 nodewise for solutions driven by ordered sources.
+    """Check u1 <= u2 nodewise (to ORDER_SLACK) for solutions with ordered sources.
 
-    Each u_i must satisfy A u_i = massw (u_i^{-q} + g_i) to residual_tol in
+    Each u_i must satisfy A u_i = massw (u_i^{-q} + g_i) to RESIDUAL_TOL in
     the sup norm; otherwise the verdict is flagged indeterminate (the
     ordering of non-solutions says nothing).  The report notes whether the
     matrix is in the M-matrix regime (s above the sign threshold), where
     the ordering is a theorem rather than an observation.
     """
-    n = system.grid.n
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    g1 = np.broadcast_to(np.asarray(g1, dtype=float), (n,))
-    g2 = np.broadcast_to(np.asarray(g2, dtype=float), (n,))
+    g1 = nodal_source(system, g1, "source g1")
+    g2 = nodal_source(system, g2, "source g2")
     if np.any(g1 > g2):
         raise ParameterError("sources must satisfy g1 <= g2 nodewise")
     if u1.min() <= 0.0 or u2.min() <= 0.0:
@@ -390,8 +388,8 @@ def comparison_check(
     res2 = float(np.abs(defect(system, base, u2, g2)).max())
     gap = float((u2 - u1).min())
     return ComparisonReport(
-        ordered=gap >= -slack,
-        indeterminate=res1 > residual_tol or res2 > residual_tol,
+        ordered=gap >= -ORDER_SLACK,
+        indeterminate=res1 > RESIDUAL_TOL or res2 > RESIDUAL_TOL,
         worst_gap=gap,
         residual_low=res1,
         residual_high=res2,
@@ -420,9 +418,8 @@ def envelope_check(
     system: DiscreteSystem,
     params: ProblemParams,
     u: Field,
-    slack: float = 1e-8,
 ) -> EnvelopeReport:
-    """Check w <= u <= z nodewise, localizing any violation.
+    """Check w <= u <= z nodewise, to ORDER_SLACK, localizing any violation.
 
     w is the pure singular solution; z solves the singular problem with the
     constant source lam * (sup u)^{crit-1}, the natural upper envelope for
@@ -438,8 +435,8 @@ def envelope_check(
     high = z - u
     il = int(np.argmin(low))
     ih = int(np.argmin(high))
-    lower_ok = bool(low[il] >= -slack)
-    upper_ok = bool(high[ih] >= -slack)
+    lower_ok = bool(low[il] >= -ORDER_SLACK)
+    upper_ok = bool(high[ih] >= -ORDER_SLACK)
     return EnvelopeReport(
         ok=lower_ok and upper_ok,
         lower_ok=lower_ok,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid
@@ -37,6 +36,12 @@ MP_SAMPLES = 33
 MP_MAX_SWEEPS = 4000
 MP_NEWTON_EVERY = 10
 MP_DISTINCT_TOL = 1e-2
+
+# Iteration budget of the projected-gradient descent in sobolev_constant.
+SOBOLEV_MAX_ITER = 2000
+
+# Concentration scales of the bubble rays in energy_gap_check.
+GAP_EPS_LADDER = (0.08, 0.04, 0.02)
 
 
 def energy(system: DiscreteSystem, params: ProblemParams, u: Field) -> float:
@@ -95,13 +100,13 @@ def critical_quotient(system: DiscreteSystem, u: Field) -> float:
 
 def sobolev_constant(
     system: DiscreteSystem,
-    max_iter: int = 2000,
     start: Field | None = None,
 ) -> float:
     """Best constant in the critical embedding on this grid.
 
-    Minimizes (<A u, u> / cns) / |u|_{crit}^2 by preconditioned projected
-    gradient descent from the principal eigenvector.  The discrete value
+    Minimizes (<A u, u> / cns) / |u|_{crit}^2 by projected gradient descent,
+    preconditioned with the system's stiffness factor, from the principal
+    eigenvector (at most SOBOLEV_MAX_ITER steps).  The discrete value
     decreases under refinement toward the continuum constant.
     """
     s = system.s
@@ -112,24 +117,19 @@ def sobolev_constant(
     if start is None:
         start = principal_eigenpair(system).mode
     u = np.asarray(start, dtype=float).copy()
-    cA = cho_factor(A)
-
-    def quot(v):
-        return critical_quotient(system, v)
-
-    R = quot(u)
+    R = critical_quotient(system, u)
     alpha = 0.5
-    for _ in range(max_iter):
+    for _ in range(SOBOLEV_MAX_ITER):
         den = np.sum(mw * np.abs(u) ** ts)
         un = u / den ** (1.0 / ts)
-        gR = 2.0 * (A @ un) / c - 2.0 * quot(u) * mw * np.sign(un) * np.abs(un) ** (ts - 1.0)
-        d = cho_solve(cA, gR)
+        gR = 2.0 * (A @ un) / c - 2.0 * R * mw * np.sign(un) * np.abs(un) ** (ts - 1.0)
+        d = system.solve(gR)
         ut = un - alpha * d
-        Rt = quot(ut)
+        Rt = critical_quotient(system, ut)
         while Rt > R and alpha > 1e-12:
             alpha *= 0.5
             ut = un - alpha * d
-            Rt = quot(ut)
+            Rt = critical_quotient(system, ut)
         done = abs(R - Rt) <= 1e-14 * max(1.0, R)
         u, R = ut, Rt
         if done:
@@ -168,16 +168,15 @@ def make_bubble(
     eps: float,
     sobolev: float,
     nu: float | None = None,
-    center: float | None = None,
 ) -> Bubble:
     """Cutoff extremal profile concentrated at scale eps.
 
     The profile (1 + |y|^2)^{-(1-2s)/2}, normalized to unit critical norm
     (its norm is pi^{(1-2s)/2} exactly) and rescaled by the estimated best
     constant, is concentrated at scale eps and multiplied by a quintic taper
-    that is 1 inside radius nu and 0 beyond 2 nu.  The default nu is a tenth
-    of the interval length; the ball of radius 4 nu about the center must
-    fit inside the interval.
+    that is 1 inside radius nu and 0 beyond 2 nu.  The center is the
+    interval's midpoint.  The default nu is a tenth of the interval length;
+    the ball of radius 4 nu about the center must fit inside the interval.
     """
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
@@ -188,8 +187,7 @@ def make_bubble(
         nu = 0.1 * length
     if nu <= 0.0:
         raise ParameterError("nu must be positive")
-    if center is None:
-        center = 0.5 * (grid.a + grid.b)
+    center = 0.5 * (grid.a + grid.b)
     if center - 4.0 * nu < grid.a or center + 4.0 * nu > grid.b:
         raise ParameterError(
             f"need the 4*nu ball about {center:g} inside ({grid.a:g}, {grid.b:g})"
@@ -280,14 +278,13 @@ def energy_gap_check(
     system: DiscreteSystem,
     params: ProblemParams,
     first: Field,
-    eps_ladder=(0.08, 0.04, 0.02),
-    nu: float | None = None,
     sobolev: float | None = None,
 ) -> GapReport:
     """Compare peak levels along bubble rays with the compactness threshold.
 
-    For each concentration scale the ray t -> first + t * bubble is maximized
-    over t.  The report records whether every peak stays below
+    For each concentration scale in GAP_EPS_LADDER the ray
+    t -> first + t * bubble (default cutoff) is maximized over t.  The
+    report records whether every peak stays below
 
         I(first) + s * S^{1/(2s)} * lam^{-(1-2s)/(2s)}
 
@@ -301,21 +298,20 @@ def energy_gap_check(
     base_level = energy(system, params, first)
     s = params.s
     peaks = []
-    for eps in eps_ladder:
-        bub = make_bubble(system.grid, params, eps, sobolev, nu=nu)
+    for eps in GAP_EPS_LADDER:
+        bub = make_bubble(system.grid, params, eps, sobolev)
         peaks.append(_ray_peak(system, params, first, bub.values, base_level))
     power = sobolev ** (1.0 / (2.0 * s))
     threshold = base_level + s * power * params.lam ** (-(1.0 - 2.0 * s) / (2.0 * s))
     threshold_unscaled = base_level + s * power
     peaks_t = tuple(float(p) for p in peaks)
-    ladder_t = tuple(float(e) for e in eps_ladder)
     decreasing = all(b <= a + 1e-12 for a, b in zip(peaks_t, peaks_t[1:]))
-    smallest = peaks_t[int(np.argmin(ladder_t))]
+    smallest = peaks_t[int(np.argmin(GAP_EPS_LADDER))]
     return GapReport(
         ok=smallest < threshold,
         all_below=all(p < threshold for p in peaks_t),
         sup_levels=peaks_t,
-        eps_ladder=ladder_t,
+        eps_ladder=GAP_EPS_LADDER,
         threshold=float(threshold),
         threshold_unscaled=float(threshold_unscaled),
         base_level=float(base_level),
@@ -385,7 +381,6 @@ def mountain_pass_search(
     if first.min() <= 0.0:
         raise ParameterError("the base solution must be strictly positive")
     A = system.stiffness
-    cA = cho_factor(A)
     if sobolev is None:
         sobolev = sobolev_constant(system)
     direction = make_bubble(system.grid, params, eps, sobolev, nu=nu).values
@@ -440,7 +435,7 @@ def mountain_pass_search(
             newpath = [path[0]]
             for j in range(1, MP_SAMPLES - 1):
                 u = path[j]
-                d = cho_solve(cA, problem_gradient(system, params, u))
+                d = system.solve(problem_gradient(system, params, u))
                 tau = path[j + 1] - path[j - 1]
                 nt = anorm(tau)
                 if nt > 0.0:
@@ -464,7 +459,7 @@ def mountain_pass_search(
             backtracks += 1
         jmax = int(np.argmax(levels))
         if trace is not None:
-            pg = anorm(cho_solve(cA, problem_gradient(system, params, path[jmax])))
+            pg = anorm(system.solve(problem_gradient(system, params, path[jmax])))
             distinct = anorm(path[jmax] - first) / max(anorm(first), 1e-30) > MP_DISTINCT_TOL
             trace.append(
                 {

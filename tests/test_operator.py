@@ -193,6 +193,12 @@ def test_stiffness_symmetric_toeplitz():
     for k in range(24):
         diag = np.diagonal(A, offset=k)
         np.testing.assert_allclose(diag, diag[0], rtol=0, atol=1e-15 * abs(diag[0]))
+    # the system caches its factor and torsion field, so its arrays are frozen
+    with pytest.raises(ValueError):
+        system.stiffness[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        system.massw[0] = 1.0
+    assert np.array_equal(system.torsion, solve_dirichlet(system, 1.0))
 
 
 @pytest.mark.parametrize("s", [0.3, 0.1])
@@ -246,6 +252,13 @@ def test_apply_operator_is_matrix_action(system64, rng):
 def test_solve_dirichlet_zero_source(system64):
     u = solve_dirichlet(system64, 0.0)
     assert np.abs(u).max() == 0.0
+    bad = np.zeros(64)
+    bad[5] = np.inf
+    for source in (np.nan, bad):
+        with pytest.raises(ParameterError, match="non-finite"):
+            solve_dirichlet(system64, source)
+    with pytest.raises(ParameterError, match="does not match grid size"):
+        solve_dirichlet(system64, np.ones(65))
 
 
 def test_solve_dirichlet_residual_and_positivity(system64):

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import fraclab.operator
 from fraclab import (
     ConvergenceError,
     ParameterError,
+    assemble,
     build_supersolution,
     comparison_check,
     default_multiplier_ladder,
@@ -91,6 +93,8 @@ def test_source_validation(system64, params_s04q2):
     bad[3] = np.nan
     with pytest.raises(ParameterError):
         solve_singular_semilinear(system64, params_s04q2, g=bad)
+    with pytest.raises(ParameterError, match="does not match grid size"):
+        solve_singular_semilinear(system64, params_s04q2, g=np.ones(63))
     with pytest.raises(ParameterError):
         solve_singular_semilinear(
             system64, params_s04q2, schedule=[1e-8], start=np.zeros(64)
@@ -151,15 +155,27 @@ def test_scan_supersolution_small_lambda(system128, params_s04q2, w128):
     assert res.worst_defect >= -1e-8
 
 
-def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, w128):
+def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, w128, monkeypatch):
     spec = principal_eigenpair(system128)
     cert = lambda_certificate(params_s04q2, spec.value)
     p = params_s04q2.with_lam(10.0 * cert)
-    res = scan_supersolution(system128, p, base=w128)
+    # a fresh system, so its stiffness factor is not cached yet
+    system = assemble(system128.grid, system128.s)
+    factorizations = []
+    real_cho_factor = fraclab.operator.cho_factor
+
+    def counting_cho_factor(a, *args, **kwargs):
+        factorizations.append(a.shape)
+        return real_cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(fraclab.operator, "cho_factor", counting_cho_factor)
+    res = scan_supersolution(system, p, base=w128)
     assert not res.valid
     assert res.multiplier is None
     assert res.values is None
     assert res.attempts == len(default_multiplier_ladder())
+    # every rung reuses the system's torsion field: A is factored at most once
+    assert len(factorizations) <= 1
 
 
 def test_monotone_iteration_fixed_at_zero_lambda(system128, params_s04q2, w128):

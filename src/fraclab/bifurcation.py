@@ -27,7 +27,7 @@ from .solver import (
     solve_pure_singular,
     weak_residual,
 )
-from .variational import energy, golden_section_max, mountain_pass_search, sobolev_constant
+from .variational import energy, golden_section_max, mountain_pass_search
 
 
 def lambda_certificate(params: ProblemParams, lam1: float) -> float:
@@ -70,7 +70,6 @@ def estimate_lambda_star(
     system: DiscreteSystem,
     params: ProblemParams,
     rel_tol: float = 1e-2,
-    base: Field | None = None,
 ) -> LambdaStarResult:
     """Bisect the largest lam with a validated supersolution and settled iteration.
 
@@ -79,24 +78,25 @@ def estimate_lambda_star(
     The search runs on [0, lambda_certificate].  A trial where the
     iteration hits MONOTONE_CAP while still monotone and below its bound is
     indeterminate; it is treated as infeasible and the result is flagged.
-    lam carried by ``params`` is ignored here.  ``base`` may pass a
-    precomputed pure singular solution.
+    lam carried by ``params`` is ignored here.  ``rel_tol``, the bracket
+    width relative to its upper end, must lie in (0, 1).
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     spec = principal_eigenpair(system)
     cert = lambda_certificate(params, spec.value)
-    w = base if base is not None else solve_pure_singular(system, params)[0]
     evaluations = []
     flagged = False
 
     def feasible(lam):
         nonlocal flagged
         p = params.with_lam(lam)
-        sup = scan_supersolution(system, p, base=w)
+        sup = scan_supersolution(system, p)
         if not sup.valid:
             evaluations.append((float(lam), False, None, 0))
             return False
         trace = []
-        u, rep = monotone_iteration(system, p, base=w, bound=sup.values, trace=trace)
+        u, rep = monotone_iteration(system, p, bound=sup.values, trace=trace)
         if not rep.converged and rep.iterations >= MONOTONE_CAP:
             monotone = all(t["min_increment"] >= -1e-10 for t in trace)
             bounded = all(t.get("below_bound", True) for t in trace)
@@ -136,16 +136,10 @@ class DiagramEntry:
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
-    """Computed branch data over a list of parameter values.
-
-    ``lambda_star`` carries an (estimate, lo, hi) triple when an extremal
-    parameter estimate accompanies the sweep; sweeps do not compute one on
-    their own.
-    """
+    """Computed branch data over a list of parameter values."""
 
     entries: tuple
     lambda_cert: float
-    lambda_star: tuple | None = None
 
 
 def sweep_lambda(
@@ -153,7 +147,6 @@ def sweep_lambda(
     params: ProblemParams,
     lambdas,
     second: bool = False,
-    lambda_star: tuple | None = None,
 ) -> BifurcationDiagram:
     """Trace the minimal branch over ``lambdas``, optionally with the second one.
 
@@ -169,7 +162,6 @@ def sweep_lambda(
     w, wrep = solve_pure_singular(system, params)
     spec = principal_eigenpair(system)
     cert = lambda_certificate(params, spec.value)
-    sob = sobolev_constant(system) if second else None
     entries = []
     prev = w
     for lam in lams:
@@ -184,7 +176,7 @@ def sweep_lambda(
             prev = u
             if second:
                 try:
-                    v, vrep = mountain_pass_search(system, p, u, sobolev=sob)
+                    v, vrep = mountain_pass_search(system, p, u)
                     entries.append(DiagramEntry(lam=lam, sup=float(v.max()), **asdict(vrep)))
                 except ConvergenceError:
                     entries.append(
@@ -198,11 +190,7 @@ def sweep_lambda(
                             converged=False,
                         )
                     )
-    return BifurcationDiagram(
-        entries=tuple(entries),
-        lambda_cert=cert,
-        lambda_star=tuple(float(v) for v in lambda_star) if lambda_star else None,
-    )
+    return BifurcationDiagram(entries=tuple(entries), lambda_cert=cert)
 
 
 def extremal_solution(
@@ -227,8 +215,7 @@ def extremal_solution(
         lam_star = estimate_lambda_star(system, params).estimate
     if lam_star <= 0.0:
         raise ParameterError("lam_star must be positive")
-    w, _ = solve_pure_singular(system, params)
-    u = w
+    u, _ = solve_pure_singular(system, params)
     all_ok = True
     done = 0
     for m in range(1, rungs + 1):

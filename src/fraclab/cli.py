@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.special import gamma
 
 from . import __version__
 from .bifurcation import (
@@ -71,7 +73,6 @@ class RunConfig:
     tol_bracket: float = 1e-2
     fit_window: float = 0.1
     nu: float | None = None
-    eps_ladder: tuple = (0.08, 0.04, 0.02)
     seed: int = 0
     output_dir: str = "fraclab-out"
 
@@ -81,18 +82,12 @@ class RunConfig:
             raise ParameterError(f"need at least 2 nodes, got {self.n}")
         if not self.b > self.a:
             raise ParameterError(f"need b > a, got ({self.a}, {self.b})")
-        if self.tol_bracket <= 0.0:
-            raise ParameterError("tol_bracket must be positive")
+        if not 0.0 < self.tol_bracket < 1.0:
+            raise ParameterError(f"tol_bracket must lie in (0, 1), got {self.tol_bracket}")
         if not 0.0 < self.fit_window < 0.5:
             raise ParameterError("fit_window must lie in (0, 1/2)")
-        if self.nu is not None and self.nu <= 0.0:
-            raise ParameterError("nu must be positive")
-        if not self.eps_ladder:
-            raise ParameterError("eps_ladder must not be empty")
-        if any(e <= 0.0 for e in self.eps_ladder):
-            raise ParameterError("eps_ladder entries must be positive")
-        if any(y >= x for x, y in zip(self.eps_ladder, self.eps_ladder[1:])):
-            raise ParameterError("eps_ladder must decrease strictly")
+        if self.nu is not None and not 0.0 < self.nu < math.inf:
+            raise ParameterError(f"nu must be positive and finite, got {self.nu}")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
         for l in self.lams:
@@ -102,7 +97,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["lams"] = list(self.lams)
-        d["eps_ladder"] = list(self.eps_ladder)
         return d
 
     @classmethod
@@ -110,8 +104,6 @@ class RunConfig:
         d = dict(d)
         if "lams" in d:
             d["lams"] = tuple(float(x) for x in d["lams"])
-        if "eps_ladder" in d:
-            d["eps_ladder"] = tuple(float(x) for x in d["eps_ladder"])
         return cls(**d)
 
 
@@ -150,7 +142,6 @@ _FILE_KEYS = {
     "tol_bracket": ("tol_bracket", float),
     "fit_window": ("fit_window", float),
     "nu": ("nu", float),
-    "eps_ladder": ("eps_ladder", str),
     "seed": ("seed", int),
     "output_dir": ("output_dir", str),
 }
@@ -178,14 +169,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             layered[name] = cli_val
     if getattr(args, "lam", None) is not None:
         layered["lambda"] = args.lam
-    if getattr(args, "eps_ladder", None) is not None:
-        layered["eps_ladder"] = args.eps_ladder
     if "lambda" in layered:
         lams = _parse_float_list(str(layered.pop("lambda")))
         layered["lams"] = lams
         layered["lam"] = lams[0] if len(lams) == 1 else None
-    if "eps_ladder" in layered and isinstance(layered["eps_ladder"], str):
-        layered["eps_ladder"] = _parse_float_list(layered["eps_ladder"])
     if "output_dir" not in layered and os.environ.get(ENV_OUTPUT_DIR):
         layered["output_dir"] = os.environ[ENV_OUTPUT_DIR]
     cfg = replace(RunConfig(), **layered)
@@ -325,13 +312,9 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
         write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print("minimal branch did not converge; no base point", file=sys.stderr)
         return 3
-    sob = sobolev_constant(system)
     trace = [] if trace_path else None
     try:
-        second, srep = mountain_pass_search(
-            system, params, first, sobolev=sob,
-            eps=cfg.eps_ladder[-1], nu=cfg.nu, trace=trace,
-        )
+        second, srep = mountain_pass_search(system, params, first, nu=cfg.nu, trace=trace)
     except ConvergenceError as exc:
         write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print(f"mountain pass failed: {exc}", file=sys.stderr)
@@ -342,7 +325,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
                 for entry in trace:
                     f.write(json.dumps(entry, sort_keys=True) + "\n")
     payload = _solution_payload(cfg, grid, params, second, srep)
-    payload["sobolev"] = sob
+    payload["sobolev"] = sobolev_constant(system)
     payload["separation"] = abs(float(second.max()) - float(first.max())) / float(first.max())
     files.append(write_json(os.path.join(out, "second_solution.json"), payload))
     write_manifest(out, cfg.to_dict(),
@@ -410,8 +393,7 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
     g25 = build_grid(-1.0, 1.0, 128)
     sys25 = assemble(g25, 0.25)
     u_t = solve_dirichlet(sys25, 1.0)
-    from scipy.special import gamma as _gamma
-    kappa = 2.0 ** 0.5 * _gamma(0.75) * _gamma(1.25) / _gamma(0.5)
+    kappa = 2.0 ** 0.5 * gamma(0.75) * gamma(1.25) / gamma(0.5)
     exact_mid = (1.0 - g25.nodes[64] ** 2) ** 0.25 / kappa
     mid_err = abs(u_t[64] - exact_mid) / exact_mid
     check("torsion-midpoint", mid_err <= 0.02, f"rel_err={mid_err:.3e}")
@@ -437,7 +419,7 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
         worst = min(worst, rep.worst_gap)
     check("comparison-pairs", ordered_all, f"worst_gap={worst:.3e}")
 
-    w, wrep = solve_pure_singular(system, params)
+    w, _ = solve_pure_singular(system, params)
     fd_ok = True
     worst_fd = 0.0
     for _ in range(3):
@@ -463,9 +445,8 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
     check("regularization-monotone", inc_ok, f"stages={len(trace)}")
 
     p_lam = params.with_lam(0.02)
-    sup = scan_supersolution(system, p_lam, base=w)
-    u_min, mrep = monotone_iteration(system, p_lam, base=w,
-                                     bound=sup.values if sup.valid else None)
+    sup = scan_supersolution(system, p_lam)
+    u_min, mrep = monotone_iteration(system, p_lam, bound=sup.values if sup.valid else None)
     env = envelope_check(system, p_lam, u_min) if mrep.converged else None
     check("minimal-branch",
           sup.valid and mrep.converged and mrep.residual <= 1e-7 and env is not None and env.ok,
@@ -514,7 +495,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-bracket", type=float, dest="tol_bracket")
     common.add_argument("--fit-window", type=float, dest="fit_window")
     common.add_argument("--nu", type=float, dest="nu", help="bubble cutoff radius")
-    common.add_argument("--eps-ladder", dest="eps_ladder", help="comma list of scales")
     common.add_argument("--seed", type=int, dest="seed")
     common.add_argument("--output-dir", dest="output_dir")
 

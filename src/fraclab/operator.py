@@ -11,17 +11,17 @@ integrals below run over the whole real line.
 The singular kernel is scaled by the usual normalization constant so that
 the operator's symbol is |xi|^{2s}.
 
-The assembled ``DiscreteSystem`` is the one owner of the stiffness matrix's
-Cholesky factor and of the torsion field (the solution with unit source):
-both are computed once, on first use, and every linear solve against the
-stiffness matrix goes through them.  The system's arrays are read-only, so
-neither cached value can go stale.
+The assembled ``DiscreteSystem`` owns every quantity that depends on it
+alone (see its docstring): each is computed once, on first use, and kept
+read-only for the life of the system.  The energy functional lives here
+beside its gradient ``defect`` and its Hessian ``jacobian``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
@@ -127,6 +127,31 @@ def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field, eps=0.0)
     return system.stiffness + np.diag(d)
 
 
+def energy(system: "DiscreteSystem", params: ProblemParams, u: Field) -> float:
+    """Value of the functional whose gradient is ``defect`` at a nonnegative field.
+
+    I(u) = 1/2 <A u, u> - sum massw P(u) - (lam/crit) sum massw u^crit, with
+    P(u) = u^{1-q}/(1-q) for q != 1 and log u for q = 1.  Returns +inf when a
+    zero node makes the singular term diverge (q >= 1).  Negative fields are
+    outside the domain of the functional and rejected.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.min() < 0.0:
+        raise ParameterError("energy is defined on nonnegative fields")
+    quad = 0.5 * u @ (system.stiffness @ u)
+    q = params.q
+    if u.min() == 0.0 and q >= 1.0:
+        return math.inf
+    with np.errstate(divide="ignore"):
+        if q == 1.0:
+            sing = float(np.sum(system.massw * np.log(u)))
+        else:
+            sing = float(np.sum(system.massw * u ** (1.0 - q)) / (1.0 - q))
+    ts = params.crit
+    critical = params.lam / ts * float(np.sum(system.massw * u ** ts))
+    return float(quad) - sing - critical
+
+
 def kernel_constant(s: float) -> float:
     """Constant multiplying |z|^{-1-2s} so the symbol is |xi|^{2s} (n = 1)."""
     return normalization_constant(1, s)
@@ -184,31 +209,44 @@ def m_matrix_threshold() -> float:
 class DiscreteSystem:
     """Assembled stiffness matrix and lumped mass weights on a grid.
 
-    ``assemble`` marks both arrays read-only.  The system owns the Cholesky
-    factor of the stiffness matrix and the torsion field; each is computed
-    on first use and kept for the life of the system.
+    ``assemble`` marks both arrays read-only, so no cached value can go
+    stale.  The stiffness factor, the torsion field, the principal
+    eigenpair, the pure singular solution (per q) and the Sobolev constant
+    are computed on first use through ``memo`` and kept for the life of the
+    system; cached arrays are read-only.
     """
 
     grid: Grid
     s: float
     stiffness: np.ndarray
     massw: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    def memo(self, key, compute):
+        """Value of ``compute()`` under ``key``, computed on the first call only."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @property
     def factor(self):
         """Cholesky factor of the stiffness matrix, as ``cho_solve`` takes it."""
-        return cho_factor(self.stiffness)
+        return self.memo("factor", lambda: cho_factor(self.stiffness))
 
     def solve(self, rhs: Field) -> Field:
         """Solution x of A x = rhs, from the cached factor."""
         return cho_solve(self.factor, rhs)
 
-    @cached_property
+    @property
     def torsion(self) -> Field:
         """Read-only solution of the linear problem with unit source."""
-        z = solve_dirichlet(self, 1.0)
-        z.flags.writeable = False
-        return z
+        return self.memo("torsion", lambda: read_only(solve_dirichlet(self, 1.0)))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it."""
+    a.flags.writeable = False
+    return a
 
 
 def assemble(grid: Grid, s: float) -> DiscreteSystem:
@@ -284,7 +322,12 @@ def principal_eigenpair(system: DiscreteSystem) -> SpectralData:
 
     The eigenvalue is cross-checked against the Rayleigh quotient of the
     returned mode to 1e-8 relative; a sign-indefinite mode is rejected.
+    Computed once per system; the mode is read-only.
     """
+    return system.memo("eigenpair", lambda: _principal_eigenpair(system))
+
+
+def _principal_eigenpair(system: DiscreteSystem) -> SpectralData:
     vals, vecs = eigh(
         system.stiffness,
         np.diag(system.massw),
@@ -302,4 +345,4 @@ def principal_eigenpair(system: DiscreteSystem) -> SpectralData:
         raise ConvergenceError(
             f"eigenvalue {lam1!r} disagrees with Rayleigh quotient {rayleigh!r}"
         )
-    return SpectralData(value=lam1, mode=phi)
+    return SpectralData(value=lam1, mode=read_only(phi))

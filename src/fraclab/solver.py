@@ -6,10 +6,11 @@ each stage.  The Jacobian A + diag(q massw (u+eps)^{-q-1}) is symmetric
 positive definite, so each stage factorizes with Cholesky; the same Newton
 factorizes with LU when the critical term is present (mountain-pass polish).
 
-On top of it sit the pure singular solution (g = 0), supersolution
-construction by a multiplier ladder over the torsion-like profile, and the
-monotone iteration that climbs from the pure singular solution to the
-minimal solution of the full problem.
+On top of it sit the pure singular solution (g = 0), solved once per system
+and q and kept on the system, supersolution construction by a multiplier
+ladder over the torsion-like profile, and the monotone iteration that
+climbs from the pure singular solution to the minimal solution of the full
+problem.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .operator import (
     Field,
     ProblemParams,
     defect,
+    energy,
     jacobian,
     m_matrix_threshold,
     nodal_source,
+    read_only,
     solve_dirichlet,
 )
-from .variational import energy
 
 
 @dataclass(frozen=True)
@@ -186,10 +188,17 @@ def solve_singular_semilinear(
     return u, report
 
 
-def solve_pure_singular(system: DiscreteSystem, params: ProblemParams, **kw):
-    """Solution of the problem without the critical term (lam = 0)."""
-    u, rep = solve_singular_semilinear(system, params.with_lam(0.0), 0.0, **kw)
-    return u, replace(rep, branch="pure-singular")
+def solve_pure_singular(system: DiscreteSystem, params: ProblemParams):
+    """Solution w of the problem without the critical term (lam = 0).
+
+    w depends on the system and q alone, so it is solved once per system
+    and q and kept on the system; the returned field is read-only.
+    """
+    def solve():
+        u, rep = solve_singular_semilinear(system, params.with_lam(0.0), 0.0)
+        return read_only(u), replace(rep, branch="pure-singular")
+
+    return system.memo(("pure-singular", params.q), solve)
 
 
 def default_multiplier_ladder() -> list:
@@ -212,12 +221,11 @@ def build_supersolution(
     system: DiscreteSystem,
     params: ProblemParams,
     M: float,
-    base: Field | None = None,
 ) -> SupersolutionResult:
     """Check whether ubar = w + M z dominates the full problem nodewise.
 
-    w is the pure singular solution, z the system's torsion field (the
-    linear solution with unit source), so no linear solve happens here.  The
+    w is the system's pure singular solution and z its torsion field (the
+    linear solution with unit source), so no solve happens here.  The
     candidate is valid when its defect
     A ubar - massw (ubar^{-q} + lam ubar^{crit-1}) is >= -ORDER_SLACK at
     every node.  M = 0 is permitted (the check then reduces to whether w
@@ -226,9 +234,8 @@ def build_supersolution(
     """
     if not M >= 0.0:
         raise ParameterError(f"multiplier must be nonnegative, got {M}")
-    if base is None:
-        base, _ = solve_pure_singular(system, params)
-    ub = base + float(M) * system.torsion
+    w, _ = solve_pure_singular(system, params)
+    ub = w + float(M) * system.torsion
     worst = float(defect(system, params, ub).min())
     return SupersolutionResult(
         valid=worst >= -ORDER_SLACK,
@@ -239,11 +246,7 @@ def build_supersolution(
     )
 
 
-def scan_supersolution(
-    system: DiscreteSystem,
-    params: ProblemParams,
-    base: Field | None = None,
-) -> SupersolutionResult:
+def scan_supersolution(system: DiscreteSystem, params: ProblemParams) -> SupersolutionResult:
     """Scan ``default_multiplier_ladder`` for the first valid supersolution.
 
     The first multiplier that validates wins; when none does, the result
@@ -251,11 +254,9 @@ def scan_supersolution(
     minimum defect seen across the ladder.
     """
     ladder = default_multiplier_ladder()
-    if base is None:
-        base, _ = solve_pure_singular(system, params)
     best = -np.inf
     for k, M in enumerate(ladder):
-        res = build_supersolution(system, params, M, base=base)
+        res = build_supersolution(system, params, M)
         best = max(best, res.worst_defect)
         if res.valid:
             return replace(res, attempts=k + 1)
@@ -276,15 +277,17 @@ def monotone_iteration(
     cap: int = MONOTONE_CAP,
     trace: list | None = None,
 ):
-    """Iterate L(u_k) = lam u_{k-1}^{crit-1} upward from the pure singular w.
+    """Iterate L(u_k) = lam u_{k-1}^{crit-1} upward from ``base``.
 
-    Each step solves the frozen-source singular problem, warm-started from
-    the previous iterate.  The sequence is nondecreasing; its limit, when
-    the sup norms stay bounded, is the minimal solution.  ``bound`` may
-    carry a validated supersolution, in which case every iterate is checked
-    against it.  The iteration has settled when a step changes no node by
-    more than MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP) or
-    hitting ``cap`` returns converged=False.
+    ``base`` defaults to the system's pure singular solution w; a minimal
+    solution at a smaller lam is a warm start too.  Each step solves the
+    frozen-source singular problem, warm-started from the previous iterate.
+    The sequence is nondecreasing; its limit, when the sup norms stay
+    bounded, is the minimal solution.  ``bound`` may carry a validated
+    supersolution, in which case every iterate is checked against it.  The
+    iteration has settled when a step changes no node by more than
+    MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP) or hitting
+    ``cap`` returns converged=False.
     """
     if params.lam < 0.0:
         raise ParameterError("lam must be nonnegative")
@@ -421,9 +424,10 @@ def envelope_check(
 ) -> EnvelopeReport:
     """Check w <= u <= z nodewise, to ORDER_SLACK, localizing any violation.
 
-    w is the pure singular solution; z solves the singular problem with the
-    constant source lam * (sup u)^{crit-1}, the natural upper envelope for
-    any positive solution of the full problem with that sup norm.
+    w is the system's pure singular solution; z solves the singular
+    problem with the constant source lam * (sup u)^{crit-1}, the natural
+    upper envelope for any positive solution of the full problem with that
+    sup norm.
     """
     u = np.asarray(u, dtype=float)
     if u.min() <= 0.0:

@@ -1,14 +1,15 @@
-"""Energy functional, Sobolev quotient, concentration bubbles, second solution.
+"""Sobolev quotient, concentration bubbles, energy gap, second solution.
 
 The functional
 
     I(u) = 1/2 <A u, u> - sum massw * P(u) - (lam/crit) sum massw * u^crit
 
-uses the antiderivative P of the singular nonlinearity: u^{1-q}/(1-q) for
-q != 1 and log u for q = 1.  Minimal solutions are local minimizers on the
-cone above the pure singular solution; a second solution appears at a
-mountain-pass level, which is located here by deforming a path of bubble
-perturbations.
+(``operator.energy``, re-exported here) uses the antiderivative P of the
+singular nonlinearity: u^{1-q}/(1-q) for q != 1 and log u for q = 1.
+Minimal solutions are local minimizers on the cone above the pure singular
+solution; a second solution appears at a mountain-pass level, which is
+located here by deforming a path of bubble perturbations.  The discrete
+Sobolev constant is computed once per system and kept on it.
 """
 
 from __future__ import annotations
@@ -25,46 +26,27 @@ from .operator import (
     Field,
     ProblemParams,
     defect,
+    energy,
     kernel_constant,
     principal_eigenpair,
 )
+from .solver import RESIDUAL_TOL, SolveReport, newton
 
 # Path deformation in mountain_pass_search: samples along the path, sweep
-# budget, sweeps between Newton polishes, and the relative A-distance from
-# the minimal solution below which a critical point counts as the same one.
+# budget, sweeps between Newton polishes, the relative A-distance from the
+# minimal solution below which a critical point counts as the same one, and
+# the concentration scale of the bubble direction.
 MP_SAMPLES = 33
 MP_MAX_SWEEPS = 4000
 MP_NEWTON_EVERY = 10
 MP_DISTINCT_TOL = 1e-2
+MP_BUBBLE_EPS = 0.02
 
 # Iteration budget of the projected-gradient descent in sobolev_constant.
 SOBOLEV_MAX_ITER = 2000
 
 # Concentration scales of the bubble rays in energy_gap_check.
 GAP_EPS_LADDER = (0.08, 0.04, 0.02)
-
-
-def energy(system: DiscreteSystem, params: ProblemParams, u: Field) -> float:
-    """Value of the functional at a nonnegative field.
-
-    Returns +inf when a zero node makes the singular term diverge (q >= 1).
-    Negative fields are outside the domain of the functional and rejected.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.min() < 0.0:
-        raise ParameterError("energy is defined on nonnegative fields")
-    quad = 0.5 * u @ (system.stiffness @ u)
-    q = params.q
-    if u.min() == 0.0 and q >= 1.0:
-        return math.inf
-    with np.errstate(divide="ignore"):
-        if q == 1.0:
-            sing = float(np.sum(system.massw * np.log(u)))
-        else:
-            sing = float(np.sum(system.massw * u ** (1.0 - q)) / (1.0 - q))
-    ts = params.crit
-    critical = params.lam / ts * float(np.sum(system.massw * u ** ts))
-    return float(quad) - sing - critical
 
 
 def problem_gradient(system: DiscreteSystem, params: ProblemParams, u: Field) -> Field:
@@ -105,17 +87,24 @@ def sobolev_constant(
     """Best constant in the critical embedding on this grid.
 
     Minimizes (<A u, u> / cns) / |u|_{crit}^2 by projected gradient descent,
-    preconditioned with the system's stiffness factor, from the principal
-    eigenvector (at most SOBOLEV_MAX_ITER steps).  The discrete value
-    decreases under refinement toward the continuum constant.
+    preconditioned with the system's stiffness factor, from ``start``
+    (at most SOBOLEV_MAX_ITER steps).  The default start is the principal
+    eigenvector; that value is computed once per system and kept.  The
+    discrete value decreases under refinement toward the continuum constant.
     """
+    if start is None:
+        return system.memo(
+            "sobolev", lambda: _minimize_quotient(system, principal_eigenpair(system).mode)
+        )
+    return _minimize_quotient(system, start)
+
+
+def _minimize_quotient(system: DiscreteSystem, start: Field) -> float:
     s = system.s
     ts = 2.0 / (1.0 - 2.0 * s)
     c = kernel_constant(s)
     A = system.stiffness
     mw = system.massw
-    if start is None:
-        start = principal_eigenpair(system).mode
     u = np.asarray(start, dtype=float).copy()
     R = critical_quotient(system, u)
     alpha = 0.5
@@ -178,15 +167,15 @@ def make_bubble(
     interval's midpoint.  The default nu is a tenth of the interval length;
     the ball of radius 4 nu about the center must fit inside the interval.
     """
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
-    if sobolev <= 0.0:
-        raise ParameterError("sobolev estimate must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
+    if not 0.0 < sobolev < math.inf:
+        raise ParameterError(f"sobolev estimate must be positive and finite, got {sobolev}")
     length = grid.b - grid.a
     if nu is None:
         nu = 0.1 * length
-    if nu <= 0.0:
-        raise ParameterError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ParameterError(f"nu must be positive and finite, got {nu}")
     center = 0.5 * (grid.a + grid.b)
     if center - 4.0 * nu < grid.a or center + 4.0 * nu > grid.b:
         raise ParameterError(
@@ -278,7 +267,6 @@ def energy_gap_check(
     system: DiscreteSystem,
     params: ProblemParams,
     first: Field,
-    sobolev: float | None = None,
 ) -> GapReport:
     """Compare peak levels along bubble rays with the compactness threshold.
 
@@ -286,15 +274,15 @@ def energy_gap_check(
     t -> first + t * bubble (default cutoff) is maximized over t.  The
     report records whether every peak stays below
 
-        I(first) + s * S^{1/(2s)} * lam^{-(1-2s)/(2s)}
+        I(first) + s * S^{1/(2s)} * lam^{-(1-2s)/(2s)},
 
-    and also carries the unscaled variant (without the lam factor) for
-    reference, plus whether the peaks decrease as eps shrinks.
+    with S the system's Sobolev constant, and also carries the unscaled
+    variant (without the lam factor) for reference, plus whether the peaks
+    decrease as eps shrinks.
     """
     if params.lam <= 0.0:
         raise ParameterError("the gap check needs lam > 0")
-    if sobolev is None:
-        sobolev = sobolev_constant(system)
+    sobolev = sobolev_constant(system)
     base_level = energy(system, params, first)
     s = params.s
     peaks = []
@@ -328,8 +316,6 @@ def _polish_critical_point(system, params, v0, floor, floor_level):
     sits strictly above the floor level, and is A-distant from the floor;
     otherwise None.
     """
-    from .solver import newton  # local import to avoid a cycle
-
     A = system.stiffness
     try:
         v, _ = newton(system, params, v0)
@@ -349,41 +335,37 @@ def mountain_pass_search(
     system: DiscreteSystem,
     params: ProblemParams,
     first: Field,
-    sobolev: float | None = None,
-    eps: float = 0.02,
     nu: float | None = None,
     trace: list | None = None,
 ):
     """Locate a second solution above the minimal one at the same lam.
 
     A path from the minimal solution to a far point along a bubble direction
-    (``make_bubble`` at scale ``eps`` and cutoff ``nu``) is relaxed by a
-    climbing elastic band: every interior sample moves down the
-    A-preconditioned gradient with the component along the path tangent
-    removed, except the highest sample, which moves up that component
-    instead.  Steps are capped by a quarter of the sample spacing, samples
-    are projected onto the cone above the minimal solution, and the path is
-    rebalanced by A-arclength each sweep.  Every MP_NEWTON_EVERY sweeps, and
-    after a sweep that could not keep the peak from rising, the highest
-    sample seeds a Newton polish; the first polished point that is distinct
-    from the minimal solution, inside the cone, and above its level is
-    returned.  Each sweep appends one record (stage ``deform``) to ``trace``
-    when one is supplied.
+    (``make_bubble`` at scale MP_BUBBLE_EPS with the system's Sobolev
+    constant and cutoff ``nu``) is relaxed by a climbing elastic band: every
+    interior sample moves down the A-preconditioned gradient with the
+    component along the path tangent removed, except the highest sample,
+    which moves up that component instead.  Steps are capped by a quarter
+    of the sample spacing, samples are projected onto the cone above the
+    minimal solution, and the path is rebalanced by A-arclength each sweep.
+    Every MP_NEWTON_EVERY sweeps, and after a sweep that could not keep the
+    peak from rising, the highest sample seeds a Newton polish; the first
+    polished point that is distinct from the minimal solution, inside the
+    cone, and above its level is returned.  Each sweep appends one record
+    (stage ``deform``) to ``trace`` when one is supplied.
 
     Returns the second solution and a report on the ``mountain-pass``
     branch.  Raises ConvergenceError when the budget runs out.
     """
-    from .solver import RESIDUAL_TOL, SolveReport  # local import to avoid a cycle
-
     if params.lam <= 0.0:
         raise ParameterError("a second solution needs lam > 0")
     first = np.asarray(first, dtype=float)
     if first.min() <= 0.0:
         raise ParameterError("the base solution must be strictly positive")
     A = system.stiffness
-    if sobolev is None:
-        sobolev = sobolev_constant(system)
-    direction = make_bubble(system.grid, params, eps, sobolev, nu=nu).values
+    direction = make_bubble(
+        system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system), nu=nu
+    ).values
     base_level = energy(system, params, first)
 
     def anorm(v):

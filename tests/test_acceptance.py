@@ -31,7 +31,6 @@ from fraclab import (
     monotone_iteration,
     mountain_pass_search,
     scan_supersolution,
-    sobolev_constant,
     solve_dirichlet,
     solve_pure_singular,
     solve_singular_semilinear,
@@ -54,17 +53,17 @@ def emit(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def star256(system256, params_s04q2, w256):
-    return estimate_lambda_star(system256, params_s04q2, base=w256)
+def star256(system256, params_s04q2):
+    return estimate_lambda_star(system256, params_s04q2)
 
 
 @pytest.fixture(scope="module")
-def minimal_half_star(system256, params_s04q2, w256, star256):
+def minimal_half_star(system256, params_s04q2, star256):
     lam = 0.5 * star256.estimate
     p = params_s04q2.with_lam(lam)
-    sup = scan_supersolution(system256, p, base=w256)
+    sup = scan_supersolution(system256, p)
     assert sup.valid
-    u, rep = monotone_iteration(system256, p, base=w256, bound=sup.values)
+    u, rep = monotone_iteration(system256, p, bound=sup.values)
     assert rep.converged
     return p, u
 
@@ -173,19 +172,17 @@ def test_criterion_03_gateaux_vs_differences(system128, params_s04q2, w128):
     assert ok, detail
 
 
-def test_criterion_04_monotone_contract(system256, params_s04q2, w256, star256):
+def test_criterion_04_monotone_contract(system256, params_s04q2, star256):
     # Minimal solutions exist only for lam in (0, Lambda); 0.9 * the ladder
     # lambda* is the top of the validated range, where the bound matters most.
     t0 = time.perf_counter()
     p = params_s04q2.with_lam(0.9 * star256.estimate)
-    sup = scan_supersolution(system256, p, base=w256)
+    sup = scan_supersolution(system256, p)
     monotone = bounded = converged = False
     res = np.inf
     if sup.valid:
         trace = []
-        u, rep = monotone_iteration(
-            system256, p, base=w256, bound=sup.values, trace=trace
-        )
+        u, rep = monotone_iteration(system256, p, bound=sup.values, trace=trace)
         monotone = all(e["min_increment"] >= -1e-10 for e in trace)
         bounded = all(e["below_bound"] for e in trace)
         converged = rep.converged
@@ -193,7 +190,7 @@ def test_criterion_04_monotone_contract(system256, params_s04q2, w256, star256):
         extra = f"residual {res:.2e}"
     else:
         trace = []
-        u, rep = monotone_iteration(system256, p, base=w256, cap=60, trace=trace)
+        u, rep = monotone_iteration(system256, p, cap=60, trace=trace)
         monotone = all(e["min_increment"] >= -1e-10 for e in trace)
         extra = (
             f"no supersolution validates at lam={p.lam:.5f} "
@@ -269,22 +266,20 @@ def test_criterion_05_regularity_exponents():
     assert ok, detail
 
 
-def test_criterion_06_existence_dichotomy(system128, params_s04q2, w128):
+def test_criterion_06_existence_dichotomy(system128, params_s04q2):
     t0 = time.perf_counter()
-    star = estimate_lambda_star(system128, params_s04q2, base=w128)
+    star = estimate_lambda_star(system128, params_s04q2)
     lo, hi = star.bracket
     width_ok = (hi - lo) / star.estimate <= 1e-2
     inside = 0.0 <= lo < hi <= star.lambda_cert
 
     p_low = params_s04q2.with_lam(0.9 * star.estimate)
-    sup = scan_supersolution(system128, p_low, base=w128)
-    u, rep_low = monotone_iteration(
-        system128, p_low, base=w128, bound=sup.values if sup.valid else None
-    )
+    sup = scan_supersolution(system128, p_low)
+    u, rep_low = monotone_iteration(system128, p_low, bound=sup.values if sup.valid else None)
     converge_low = rep_low.converged
 
     p_high = params_s04q2.with_lam(2.0 * star.lambda_cert)
-    _, rep_high = monotone_iteration(system128, p_high, base=w128)
+    _, rep_high = monotone_iteration(system128, p_high)
     diverge_high = not rep_high.converged
 
     elapsed = time.perf_counter() - t0
@@ -326,8 +321,7 @@ def test_criterion_07_multiplicity(system256, minimal_half_star):
 def test_criterion_08_energy_gap_trend(system256, minimal_half_star):
     t0 = time.perf_counter()
     p, u_min = minimal_half_star
-    S = sobolev_constant(system256)
-    gap = energy_gap_check(system256, p, u_min, sobolev=S)
+    gap = energy_gap_check(system256, p, u_min)
     decreasing = gap.decreasing
     below = gap.sup_levels[-1] < gap.threshold
     elapsed = time.perf_counter() - t0
@@ -342,16 +336,16 @@ def test_criterion_08_energy_gap_trend(system256, minimal_half_star):
 
 
 def test_criterion_09_envelope_and_extremal(
-    system128, params_s04q2, w128, system256, star256, minimal_half_star
+    system128, params_s04q2, system256, star256, minimal_half_star
 ):
     t0 = time.perf_counter()
-    star128 = estimate_lambda_star(system128, params_s04q2, base=w128)
+    star128 = estimate_lambda_star(system128, params_s04q2)
     lams = [f * star128.estimate for f in (0.25, 0.5, 0.75)]
     env_ok = True
     checked = 0
     for lam in lams:
         p = params_s04q2.with_lam(lam)
-        u, rep = monotone_iteration(system128, p, base=w128)
+        u, rep = monotone_iteration(system128, p)
         if rep.converged:
             checked += 1
             env_ok = env_ok and bool(envelope_check(system128, p, u))

@@ -1,0 +1,40 @@
+"""The benchmark's traced run wraps fraclab functions and reads report fields
+by name; a rename or a move must fail here rather than only in a traced run."""
+
+import dataclasses
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import fraclab
+
+LAYERS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers(monkeypatch):
+    # loading defines the wrapper tables only; no wrapper is installed
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def test_wrapped_names_resolve(monkeypatch):
+    layers = load_layers(monkeypatch)
+    for layer, names in layers.FRACLAB.items():
+        module = importlib.import_module(f"fraclab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"fraclab.{layer}.{name}"
+    assert not layers.installed_wrappers()
+
+
+def test_hooked_report_fields_exist():
+    fields = {
+        fraclab.SupersolutionResult: {"attempts", "valid"},
+        fraclab.LambdaStarResult: {"evaluations"},
+        fraclab.SolveReport: {"iterations"},
+    }
+    for cls, names in fields.items():
+        assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__

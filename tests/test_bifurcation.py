@@ -59,16 +59,22 @@ def test_certificate_on_mesh(system128, params_s04q2):
     )
 
 
-def test_lambda_star_frozen(system128, params_s04q2, w128):
-    res = estimate_lambda_star(system128, params_s04q2, base=w128)
+def test_lambda_star_frozen(system128, params_s04q2):
+    res = estimate_lambda_star(system128, params_s04q2)
     assert res.estimate == pytest.approx(LAMBDA_STAR_128, rel=1e-9)
     assert res.bracket[0] == pytest.approx(LAMBDA_STAR_BRACKET_128[0], rel=1e-9)
     assert res.bracket[1] == pytest.approx(LAMBDA_STAR_BRACKET_128[1], rel=1e-9)
     assert not res.flagged
 
 
-def test_lambda_star_bracket_structure(system128, params_s04q2, w128):
-    res = estimate_lambda_star(system128, params_s04q2, base=w128)
+def test_lambda_star_rejects_bad_tolerance(system64, params_s04q2):
+    for rel_tol in (np.nan, np.inf, 0.0, -1.0, 1.0):
+        with pytest.raises(ParameterError):
+            estimate_lambda_star(system64, params_s04q2, rel_tol=rel_tol)
+
+
+def test_lambda_star_bracket_structure(system128, params_s04q2):
+    res = estimate_lambda_star(system128, params_s04q2)
     lo, hi = res.bracket
     assert 0.0 <= lo < hi <= res.lambda_cert
     assert lo <= res.estimate <= hi
@@ -93,7 +99,8 @@ def test_sweep_minimal_branch(system64, rng):
     sups = [e.sup for e in diagram.entries]
     assert sups[0] < sups[1] < sups[2]
     assert all(e.lam <= diagram.lambda_cert for e in diagram.entries if e.converged)
-    assert diagram.lambda_star is None
+    # a sweep carries no extremal estimate
+    assert not hasattr(diagram, "lambda_star")
 
 
 def test_sweep_is_deterministic(system64):
@@ -106,13 +113,15 @@ def test_sweep_is_deterministic(system64):
 
 def test_sweep_second_branch(system64):
     params = ProblemParams(s=0.4, q=2.0)
-    diagram = sweep_lambda(system64, params, [0.02], second=True, lambda_star=(0.06, 0.05, 0.07))
+    diagram = sweep_lambda(system64, params, [0.02], second=True)
     branches = {e.branch for e in diagram.entries}
     assert branches == {"minimal", "mountain-pass"}
     by = {e.branch: e for e in diagram.entries}
     assert by["mountain-pass"].sup > by["minimal"].sup
     assert by["mountain-pass"].energy > by["minimal"].energy
-    assert diagram.lambda_star == (0.06, 0.05, 0.07)
+    # the sweep takes no extremal estimate to pass through
+    with pytest.raises(TypeError):
+        sweep_lambda(system64, params, [0.02], lambda_star=(0.06, 0.05, 0.07))
 
 
 def test_sweep_records_divergence(system64, params_s04q2):

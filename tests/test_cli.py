@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import fraclab.solver
 from fraclab import (
     BifurcationDiagram,
     ProblemParams,
@@ -75,10 +76,27 @@ def test_rejects_order_beyond_dimension(tmp_path, capsys):
 
 
 def test_rejects_bad_ladder(tmp_path, capsys):
+    # the eps ladder is no longer a knob: the flag and the config key are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--eps-ladder", "0.08,0.04"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("eps_ladder=0.08,0.04,0.02\n")
     rc, _ = run(tmp_path, "solve", "--s", "0.4", "--q", "2", "--lambda", "0.03",
-                "--N", "32", "--eps-ladder", "0.01,0.05")
+                "--N", "32", "--config", str(cfgfile))
     assert rc == 2
-    assert "eps_ladder" in capsys.readouterr().err
+    assert "unknown config key 'eps_ladder'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda-star", "--tol-bracket", "nan"),
+    ("lambda-star", "--tol-bracket", "inf"),
+    ("mountain-pass", "--lambda", "0.02", "--nu", "nan"),
+])
+def test_rejects_non_finite_knobs(tmp_path, capsys, argv):
+    rc, _ = run(tmp_path, argv[0], "--s", "0.4", "--q", "2", "--N", "32", *argv[1:])
+    assert rc == 2
+    assert "parameter error" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_usage(tmp_path):
@@ -118,11 +136,21 @@ def test_sweep_second_branch_emits_two_plots(tmp_path):
     assert (out / "sweep_mountain-pass.dat").exists()
 
 
-def test_mountain_pass_trace_stream(tmp_path):
+def test_mountain_pass_trace_stream(tmp_path, monkeypatch):
+    calls = []
+    real_solve = fraclab.solver.solve_singular_semilinear
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(fraclab.solver, "solve_singular_semilinear", counting_solve)
     trace_file = tmp_path / "deform.jsonl"
     rc, out = run(tmp_path, "mountain-pass", "--s", "0.4", "--q", "2",
                   "--lambda", "0.02", "--N", "64", "--trace", str(trace_file))
     assert rc == 0
+    # the supersolution scan and the monotone iteration share one w
+    assert len(calls) == 1
     assert (out / "first_solution.json").exists()
     assert (out / "second_solution.json").exists()
     records = [json.loads(line) for line in trace_file.read_text().splitlines()]

@@ -293,6 +293,10 @@ def test_principal_eigenpair_frozen(system128):
     assert spec.value == pytest.approx(EIG_128_S04, rel=1e-10)
     assert spec.mode.max() == pytest.approx(1.0, abs=1e-14)
     assert spec.mode.min() > 0.0
+    # computed once per system and kept read-only
+    assert principal_eigenpair(system128) is spec
+    with pytest.raises(ValueError):
+        spec.mode[0] = 2.0
 
 
 def test_principal_eigenpair_residual(system128):

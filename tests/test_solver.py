@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fraclab.operator
+import fraclab.solver
 from fraclab import (
     ConvergenceError,
     ParameterError,
@@ -33,6 +34,11 @@ def test_pure_singular_baseline(system128, params_s04q2, w128):
     assert report.iterations > 0
     assert u.min() > 0.0
     np.testing.assert_array_equal(u, w128)
+    # w depends on the system and q alone: solved once, kept read-only
+    assert u is w128
+    assert solve_pure_singular(system128, params_s04q2.with_lam(0.05))[1] is report
+    with pytest.raises(ValueError):
+        w128[0] = 1.0
 
 
 def test_converged_flag_tracks_residual(system128, params_s04q2):
@@ -137,25 +143,25 @@ def test_comparison_check_verdicts(system64, params_s04q2, rng):
 
 
 def test_build_supersolution_at_zero_lambda(system128, params_s04q2, w128):
-    res = build_supersolution(system128, params_s04q2, M=0.0, base=w128)
+    res = build_supersolution(system128, params_s04q2, M=0.0)
     assert res.valid
     assert res.attempts == 1
     assert res.worst_defect >= -1e-8
     assert (res.values - w128).min() >= -1e-12
     with pytest.raises(ParameterError):
-        build_supersolution(system128, params_s04q2, M=-0.5, base=w128)
+        build_supersolution(system128, params_s04q2, M=-0.5)
 
 
-def test_scan_supersolution_small_lambda(system128, params_s04q2, w128):
+def test_scan_supersolution_small_lambda(system128, params_s04q2):
     p = params_s04q2.with_lam(0.03)
-    res = scan_supersolution(system128, p, base=w128)
+    res = scan_supersolution(system128, p)
     assert res.valid
     assert res.multiplier == 2.0 ** -5
     assert res.attempts == 31
     assert res.worst_defect >= -1e-8
 
 
-def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, w128, monkeypatch):
+def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, monkeypatch):
     spec = principal_eigenpair(system128)
     cert = lambda_certificate(params_s04q2, spec.value)
     p = params_s04q2.with_lam(10.0 * cert)
@@ -169,7 +175,7 @@ def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, w128, monke
         return real_cho_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(fraclab.operator, "cho_factor", counting_cho_factor)
-    res = scan_supersolution(system, p, base=w128)
+    res = scan_supersolution(system, p)
     assert not res.valid
     assert res.multiplier is None
     assert res.values is None
@@ -179,7 +185,7 @@ def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, w128, monke
 
 
 def test_monotone_iteration_fixed_at_zero_lambda(system128, params_s04q2, w128):
-    u, report = monotone_iteration(system128, params_s04q2, base=w128)
+    u, report = monotone_iteration(system128, params_s04q2)
     assert report.converged
     assert report.iterations == 1
     assert np.abs(u - w128).max() <= 1e-8
@@ -194,12 +200,10 @@ def test_monotone_iteration_rejects_base_above_bound(system128, params_s04q2, w1
 
 def test_monotone_iteration_trace(system128, params_s04q2, w128):
     p = params_s04q2.with_lam(0.03)
-    sup = scan_supersolution(system128, p, base=w128)
+    sup = scan_supersolution(system128, p)
     assert sup.valid
     trace = []
-    u, report = monotone_iteration(
-        system128, p, base=w128, bound=sup.values, trace=trace
-    )
+    u, report = monotone_iteration(system128, p, bound=sup.values, trace=trace)
     assert report.converged
     assert report.branch == "minimal"
     assert report.residual <= 1e-8
@@ -212,40 +216,34 @@ def test_monotone_iteration_trace(system128, params_s04q2, w128):
     assert (sup.values - u).min() >= -1e-8
 
 
-def test_minimal_branch_monotone_in_lambda(system128, params_s04q2, w128):
-    u_lo, r_lo = monotone_iteration(
-        system128, params_s04q2.with_lam(0.01), base=w128
-    )
-    u_hi, r_hi = monotone_iteration(
-        system128, params_s04q2.with_lam(0.03), base=w128
-    )
+def test_minimal_branch_monotone_in_lambda(system128, params_s04q2):
+    u_lo, r_lo = monotone_iteration(system128, params_s04q2.with_lam(0.01))
+    u_hi, r_hi = monotone_iteration(system128, params_s04q2.with_lam(0.03))
     assert r_lo.converged and r_hi.converged
     assert (u_hi - u_lo).min() >= -1e-8
 
 
 def test_interior_positivity(system128, params_s04q2, w128):
-    u, report = monotone_iteration(system128, params_s04q2.with_lam(0.03), base=w128)
+    u, report = monotone_iteration(system128, params_s04q2.with_lam(0.03))
     assert report.converged
     window = np.abs(system128.grid.nodes) <= 0.8
     assert u[window].min() >= w128[window].min() - 1e-8
 
 
-def test_monotone_iteration_divergence(system128, params_s04q2, w128):
+def test_monotone_iteration_divergence(system128, params_s04q2):
     spec = principal_eigenpair(system128)
     cert = lambda_certificate(params_s04q2, spec.value)
-    u, report = monotone_iteration(
-        system128, params_s04q2.with_lam(2.0 * cert), base=w128
-    )
+    u, report = monotone_iteration(system128, params_s04q2.with_lam(2.0 * cert))
     assert not report.converged
     assert report.residual == np.inf
     assert report.iterations < 50
 
 
-def test_monotone_divergence_stays_silent(system128, params_s04q2, w128):
+def test_monotone_divergence_stays_silent(system128, params_s04q2):
     """a diverging run reports failure without numeric warnings on the way"""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u, report = monotone_iteration(system128, params_s04q2.with_lam(0.2), base=w128)
+        u, report = monotone_iteration(system128, params_s04q2.with_lam(0.2))
     assert not report.converged
     assert u.max() > 1e6
 
@@ -255,22 +253,32 @@ def test_monotone_divergence_stays_silent(system128, params_s04q2, w128):
     reason="0.1 * lambda_cert lies beyond the numerical fold: no ladder "
     "multiplier validates and the iteration has no bounded limit",
 )
-def test_minimal_solution_at_tenth_certificate(system256, params_s04q2, w256):
+def test_minimal_solution_at_tenth_certificate(system256, params_s04q2):
     spec = principal_eigenpair(system256)
     cert = lambda_certificate(params_s04q2, spec.value)
     p = params_s04q2.with_lam(0.1 * cert)
-    sup = scan_supersolution(system256, p, base=w256)
+    sup = scan_supersolution(system256, p)
     assert sup.valid
-    u, report = monotone_iteration(system256, p, base=w256, bound=sup.values)
+    u, report = monotone_iteration(system256, p, bound=sup.values)
     assert report.converged
     assert weak_residual(system256, p, u) <= 1e-7
 
 
-def test_envelope_check_passes_for_minimal(system128, params_s04q2, w128):
+def test_envelope_check_passes_for_minimal(system128, params_s04q2, w128, monkeypatch):
     p = params_s04q2.with_lam(0.03)
-    u, report = monotone_iteration(system128, p, base=w128)
+    u, report = monotone_iteration(system128, p)
     assert report.converged
+    calls = []
+    real_solve = fraclab.solver.solve_singular_semilinear
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(fraclab.solver, "solve_singular_semilinear", counting_solve)
     env = envelope_check(system128, p, u)
+    # the system's w is reused; only the upper envelope is solved
+    assert len(calls) == 1
     assert bool(env)
     assert env.lower_ok and env.upper_ok
     assert env.max_u == pytest.approx(u.max(), rel=1e-14)

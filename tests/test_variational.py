@@ -102,6 +102,8 @@ def test_critical_quotient_scale_invariant(system128, rng):
 def test_sobolev_constant_frozen(system128):
     S = sobolev_constant(system128)
     assert S == pytest.approx(SOBOLEV_128_S04, rel=1e-9)
+    # computed once per system
+    assert sobolev_constant(system128) is S
 
 
 def test_sobolev_constant_refines_downward(system128, system256):
@@ -149,6 +151,12 @@ def test_bubble_needs_room(grid128, system128):
     p = ProblemParams(s=0.4, q=2.0, lam=0.05)
     with pytest.raises(ParameterError):
         make_bubble(grid128, p, eps=0.05, sobolev=3.8, nu=0.3)
+    # non-finite scales are rejected as parameters, not left to scipy
+    for eps, sobolev, nu in [
+        (np.nan, 3.8, 0.1), (np.inf, 3.8, 0.1), (0.05, np.nan, 0.1), (0.05, 3.8, np.nan),
+    ]:
+        with pytest.raises(ParameterError):
+            make_bubble(grid128, p, eps=eps, sobolev=sobolev, nu=nu)
 
 
 @pytest.mark.xfail(
@@ -181,9 +189,9 @@ def test_golden_section_evaluates_each_point_once():
     assert len(calls) == shrinks + 2
 
 
-def test_energy_gap_report(system128, params_s04q2, w128):
+def test_energy_gap_report(system128, params_s04q2):
     p = params_s04q2.with_lam(0.05)
-    u, rep = monotone_iteration(system128, p, base=w128)
+    u, rep = monotone_iteration(system128, p)
     assert rep.converged
     gap = energy_gap_check(system128, p, u)
     assert gap.eps_ladder == (0.08, 0.04, 0.02)
@@ -198,12 +206,12 @@ def test_energy_gap_report(system128, params_s04q2, w128):
     assert bool(gap)
 
 
-def test_mountain_pass_second_solution(system128, params_s04q2, w128):
-    star = estimate_lambda_star(system128, params_s04q2, base=w128)
+def test_mountain_pass_second_solution(system128, params_s04q2):
+    star = estimate_lambda_star(system128, params_s04q2)
     lam = 0.5 * star.estimate
     p = params_s04q2.with_lam(lam)
-    sup = scan_supersolution(system128, p, base=w128)
-    u_min, min_rep = monotone_iteration(system128, p, base=w128, bound=sup.values)
+    sup = scan_supersolution(system128, p)
+    u_min, min_rep = monotone_iteration(system128, p, bound=sup.values)
     assert min_rep.converged
 
     trace = []

@@ -1,11 +1,14 @@
 """Extremal parameter estimation, branch sweeps, and boundary exponents.
 
 The zero-order certificate bounds the extremal parameter from above by
-maximizing a one-dimensional quotient built from the principal eigenvalue.
-The estimate itself comes from bisection on a feasibility oracle: a value
-is feasible when a supersolution validates and the monotone iteration
-settles.  Near-extremal solutions are obtained by warm-starting up a
-geometric ladder toward the estimate.
+the maximum, in closed form, of a one-dimensional quotient built from the
+principal eigenvalue.  The estimate itself comes from bisection on a
+feasibility oracle: a value is feasible when a supersolution over the pure
+singular solution w validates.  Above the M-matrix threshold of the order
+the discrete comparison principle then puts a solution between w and that
+supersolution (the sub/supersolution method); below it the ordering is
+observed, not proven.  Near-extremal solutions are obtained by
+warm-starting up a geometric ladder toward the estimate.
 """
 
 from __future__ import annotations
@@ -20,50 +23,43 @@ from .errors import ConvergenceError, ParameterError
 from .grid import Grid, boundary_distance
 from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair
 from .solver import (
-    MONOTONE_CAP,
     SolveReport,
     scan_supersolution,
     monotone_iteration,
     solve_pure_singular,
     weak_residual,
 )
-from .variational import energy, golden_section_max, mountain_pass_search
+from .variational import energy, mountain_pass_search
 
 
 def lambda_certificate(params: ProblemParams, lam1: float) -> float:
     """Upper certificate for the extremal parameter from the eigenvalue.
 
-    Maximizes (2 lam1 t - t^{-q}) / t^{crit-1} over t > 0 with a coarse
-    geometric scan followed by golden-section refinement.
+    The maximum over t > 0 of f(t) = (2 lam1 t - t^{-q}) / t^{crit-1}.
+    f' vanishes only at t*^{q+1} = (crit + q - 1) / (2 lam1 (crit - 2)),
+    where 2 lam1 t*^{q+1} - 1 = (q + 1) / (crit - 2) > 0, so the maximum is
+    f(t*) and it is positive.
     """
     if lam1 <= 0.0:
         raise ParameterError("principal eigenvalue must be positive")
     q = params.q
     ts = params.crit
-
-    def f(t):
-        return (2.0 * lam1 * t - t ** (-q)) / t ** (ts - 1.0)
-
-    tg = np.geomspace(1e-3, 10.0, 2000)
-    vals = f(tg)
-    i = int(np.argmax(vals))
-    lo = tg[max(i - 1, 0)]
-    hi = tg[min(i + 1, len(tg) - 1)]
-    value = f(golden_section_max(f, lo, hi, 1e-12))
-    if value <= 0.0:
-        raise ConvergenceError("certificate maximization returned a nonpositive value")
-    return float(value)
+    t = ((ts + q - 1.0) / (2.0 * lam1 * (ts - 2.0))) ** (1.0 / (q + 1.0))
+    return float((2.0 * lam1 * t - t ** (-q)) / t ** (ts - 1.0))
 
 
 @dataclass(frozen=True)
 class LambdaStarResult:
-    """Bisection outcome for the extremal parameter."""
+    """Bisection outcome for the extremal parameter.
+
+    ``evaluations`` holds one (lam, feasible, multiplier) per trial, the
+    multiplier being that of the validated supersolution, or None.
+    """
 
     estimate: float
     bracket: tuple
     lambda_cert: float
     evaluations: tuple
-    flagged: bool
 
 
 def estimate_lambda_star(
@@ -71,44 +67,27 @@ def estimate_lambda_star(
     params: ProblemParams,
     rel_tol: float = 1e-2,
 ) -> LambdaStarResult:
-    """Bisect the largest lam with a validated supersolution and settled iteration.
+    """Bisect the largest lam at which a supersolution over w validates.
 
-    Feasibility at a trial lam requires both a supersolution from the
-    multiplier ladder and convergence of the monotone iteration under it.
-    The search runs on [0, lambda_certificate].  A trial where the
-    iteration hits MONOTONE_CAP while still monotone and below its bound is
-    indeterminate; it is treated as infeasible and the result is flagged.
-    lam carried by ``params`` is ignored here.  ``rel_tol``, the bracket
-    width relative to its upper end, must lie in (0, 1).
+    A trial lam is feasible when ``scan_supersolution`` finds a multiplier
+    on its ladder whose supersolution validates; the search runs on
+    [0, lambda_certificate].  No minimal solution is computed: the
+    validated supersolution lies above the subsolution w, which is what the
+    sub/supersolution method needs for a solution between them.  lam
+    carried by ``params`` is ignored here.  ``rel_tol``, the bracket width
+    relative to its upper end, must lie in (0, 1).
     """
     if not 0.0 < rel_tol < 1.0:
         raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     spec = principal_eigenpair(system)
     cert = lambda_certificate(params, spec.value)
     evaluations = []
-    flagged = False
-
-    def feasible(lam):
-        nonlocal flagged
-        p = params.with_lam(lam)
-        sup = scan_supersolution(system, p)
-        if not sup.valid:
-            evaluations.append((float(lam), False, None, 0))
-            return False
-        trace = []
-        u, rep = monotone_iteration(system, p, bound=sup.values, trace=trace)
-        if not rep.converged and rep.iterations >= MONOTONE_CAP:
-            monotone = all(t["min_increment"] >= -1e-10 for t in trace)
-            bounded = all(t.get("below_bound", True) for t in trace)
-            if monotone and bounded:
-                flagged = True
-        evaluations.append((float(lam), bool(rep.converged), sup.multiplier, rep.iterations))
-        return rep.converged
-
     lo, hi = 0.0, cert
     while hi - lo > rel_tol * max(hi, 1e-12) * 0.5:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        sup = scan_supersolution(system, params.with_lam(mid))
+        evaluations.append((mid, sup.valid, sup.multiplier))
+        if sup.valid:
             lo = mid
         else:
             hi = mid
@@ -117,7 +96,6 @@ def estimate_lambda_star(
         bracket=(lo, hi),
         lambda_cert=cert,
         evaluations=tuple(evaluations),
-        flagged=flagged,
     )
 
 

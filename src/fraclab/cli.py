@@ -133,17 +133,17 @@ def read_config_file(path: str) -> dict:
 
 
 _FILE_KEYS = {
-    "s": ("s", float),
-    "q": ("q", float),
-    "lambda": ("lambda", str),
-    "n": ("n", int),
-    "a": ("a", float),
-    "b": ("b", float),
-    "tol_bracket": ("tol_bracket", float),
-    "fit_window": ("fit_window", float),
-    "nu": ("nu", float),
-    "seed": ("seed", int),
-    "output_dir": ("output_dir", str),
+    "s": float,
+    "q": float,
+    "lambda": str,
+    "n": int,
+    "a": float,
+    "b": float,
+    "tol_bracket": float,
+    "fit_window": float,
+    "nu": float,
+    "seed": int,
+    "output_dir": str,
 }
 
 
@@ -155,15 +155,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, text in raw.items():
             if key not in _FILE_KEYS:
                 raise ParameterError(f"unknown config key {key!r}")
-            name, conv = _FILE_KEYS[key]
             try:
-                layered[name] = conv(text)
+                layered[key] = _FILE_KEYS[key](text)
             except ValueError as exc:
                 raise ParameterError(f"bad value for {key}: {text!r}") from exc
-    for name in (
-        "s", "q", "n", "a", "b", "tol_bracket", "fit_window", "nu", "seed",
-        "output_dir",
-    ):
+    # --lambda stores to ``lam`` (taken below), so ``args.lambda`` is never set
+    for name in _FILE_KEYS:
         cli_val = getattr(args, name, None)
         if cli_val is not None:
             layered[name] = cli_val
@@ -285,15 +282,13 @@ def cmd_lambda_star(cfg: RunConfig) -> int:
         "estimate": res.estimate,
         "bracket": list(res.bracket),
         "lambda_cert": res.lambda_cert,
-        "flagged": res.flagged,
         "evaluations": [
-            {"lam": e[0], "feasible": e[1], "multiplier": e[2], "iterations": e[3]}
-            for e in res.evaluations
+            {"lam": lam, "feasible": feasible, "multiplier": multiplier}
+            for lam, feasible, multiplier in res.evaluations
         ],
     }
     files = [write_json(os.path.join(out, "lambda_star.json"), payload)]
-    write_manifest(out, cfg.to_dict(),
-                   {"lambda-star": {"estimate": res.estimate, "flagged": res.flagged}},
+    write_manifest(out, cfg.to_dict(), {"lambda-star": {"estimate": res.estimate}},
                    files, __version__)
     return 0
 

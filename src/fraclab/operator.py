@@ -55,9 +55,9 @@ def normalization_constant(n: int, s: float) -> float:
 
 
 def admissibility(q: float, s: float) -> bool:
-    """Exponent compatibility q(2s - 1) < 2s + 1; q must be positive."""
-    if not q > 0.0:
-        raise ParameterError(f"singular exponent q must be positive, got {q}")
+    """Exponent compatibility q(2s - 1) < 2s + 1; q must be positive and finite."""
+    if not 0.0 < q < math.inf:
+        raise ParameterError(f"singular exponent q must be positive and finite, got {q}")
     if not 0.0 < s < 1.0:
         raise ParameterError(f"order s must lie in (0, 1), got {s}")
     return q * (2.0 * s - 1.0) < 2.0 * s + 1.0

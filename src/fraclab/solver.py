@@ -121,7 +121,13 @@ def _continuation(system, params, g, schedule, u=None, trace=None):
     total = 0
     for eps in schedule + [0.0]:
         if u is None:
-            u = solve_dirichlet(system, eps ** (-params.q) + g)
+            try:
+                head = eps ** (-params.q)
+            except OverflowError:
+                raise ConvergenceError(
+                    f"cold-start source eps^-q overflows at eps={eps:g}, q={params.q:g}"
+                ) from None
+            u = solve_dirichlet(system, head + g)
         u, its = newton(system, base, u, g, eps)
         total += its
         if trace is not None:

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
 
 import fraclab
 
@@ -38,3 +39,16 @@ def test_hooked_report_fields_exist():
     }
     for cls, names in fields.items():
         assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_trials_hook_reads_evaluations(monkeypatch):
+    # the hook indexes the evaluation tuples: e[1] must stay the verdict
+    layers = load_layers(monkeypatch)
+    system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 32), 0.4)
+    res = fraclab.estimate_lambda_star(system, fraclab.ProblemParams(s=0.4, q=2.0))
+    counts = Counter()
+    on_return, _ = layers.HOOKS["bifurcation.estimate_lambda_star"]
+    on_return(counts, (system,), res)
+    assert counts["bifurcation.trials"] == len(res.evaluations)
+    assert counts["bifurcation.feasible"] == sum(e[2] is not None for e in res.evaluations)
+    assert 0 < counts["bifurcation.feasible"] < counts["bifurcation.trials"]

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fraclab.bifurcation
 from fraclab import (
     ParameterError,
     ProblemParams,
@@ -17,11 +18,14 @@ from fraclab import (
     extremal_solution,
     holder_fit,
     lambda_certificate,
+    monotone_iteration,
     principal_eigenpair,
+    scan_supersolution,
     solve_pure_singular,
     sweep_lambda,
     weak_residual,
 )
+from fraclab.solver import RESIDUAL_TOL
 
 # closed form at unit eigenvalue, q = 2, order 1/4: the maximizer is
 # (5/4)^(1/3) and the maximum 2 (5/4)^(-2/3) - (5/4)^(-5/3)
@@ -64,7 +68,33 @@ def test_lambda_star_frozen(system128, params_s04q2):
     assert res.estimate == pytest.approx(LAMBDA_STAR_128, rel=1e-9)
     assert res.bracket[0] == pytest.approx(LAMBDA_STAR_BRACKET_128[0], rel=1e-9)
     assert res.bracket[1] == pytest.approx(LAMBDA_STAR_BRACKET_128[1], rel=1e-9)
-    assert not res.flagged
+
+
+def test_lambda_star_runs_no_monotone_iteration(system128, params_s04q2, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection oracle ran a monotone iteration")
+
+    monkeypatch.setattr(fraclab.bifurcation, "monotone_iteration", refuse)
+    res = estimate_lambda_star(system128, params_s04q2)
+    assert res.estimate == pytest.approx(LAMBDA_STAR_128, rel=1e-9)
+    assert res.bracket[0] == pytest.approx(LAMBDA_STAR_BRACKET_128[0], rel=1e-9)
+    assert res.bracket[1] == pytest.approx(LAMBDA_STAR_BRACKET_128[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("s,q,n", [(0.4, 2.0, 128), (0.2, 1.0, 64)])
+def test_feasible_trials_admit_minimal_solution(s, q, n):
+    """the confirmation the oracle no longer runs: under every validated
+    supersolution the monotone iteration settles to a solution; (0.2, 1)
+    lies below the M-matrix threshold, where this is observed, not proven"""
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    params = ProblemParams(s=s, q=q)
+    feasible = [e[0] for e in estimate_lambda_star(system, params).evaluations if e[1]]
+    assert feasible
+    for lam in feasible:
+        p = params.with_lam(lam)
+        u, rep = monotone_iteration(system, p, bound=scan_supersolution(system, p).values)
+        assert rep.converged
+        assert rep.residual <= RESIDUAL_TOL
 
 
 def test_lambda_star_rejects_bad_tolerance(system64, params_s04q2):

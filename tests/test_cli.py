@@ -92,6 +92,7 @@ def test_rejects_bad_ladder(tmp_path, capsys):
     ("lambda-star", "--tol-bracket", "nan"),
     ("lambda-star", "--tol-bracket", "inf"),
     ("mountain-pass", "--lambda", "0.02", "--nu", "nan"),
+    ("pure-singular", "--q", "inf"),
 ])
 def test_rejects_non_finite_knobs(tmp_path, capsys, argv):
     rc, _ = run(tmp_path, argv[0], "--s", "0.4", "--q", "2", "--N", "32", *argv[1:])
@@ -112,6 +113,13 @@ def test_nonconvergence_exit_code(tmp_path):
     payload = json.loads((out / "solution.json").read_text())
     assert payload["converged"] is False
     assert payload["supersolution"]["valid"] is False
+
+
+def test_cold_start_overflow_exits_convergence(tmp_path, capsys):
+    # 0.1^-400 overflows a float in the first continuation stage
+    rc, _ = run(tmp_path, "pure-singular", "--s", "0.4", "--q", "400", "--N", "16")
+    assert rc == 3
+    assert "convergence failure" in capsys.readouterr().err
 
 
 def test_sweep_csv_contract(tmp_path):
@@ -211,8 +219,13 @@ def test_lambda_star_payload(tmp_path):
     payload = json.loads((out / "lambda_star.json").read_text())
     assert payload["bracket"][0] < payload["estimate"] < payload["bracket"][1]
     assert payload["estimate"] < payload["lambda_cert"]
-    assert payload["flagged"] is False
+    assert "flagged" not in payload
     assert payload["evaluations"]
+    for e in payload["evaluations"]:
+        assert set(e) == {"lam", "feasible", "multiplier"}
+        assert (e["multiplier"] is not None) == e["feasible"]
+    reports = load_manifest(out / "manifest.json")["reports"]
+    assert reports == {"lambda-star": {"estimate": payload["estimate"]}}
 
 
 def test_config_file_layering(tmp_path):

@@ -148,6 +148,8 @@ def test_problem_params_validation():
     with pytest.raises(ParameterError):
         ProblemParams(s=0.4, q=-1.0)
     with pytest.raises(ParameterError):
+        ProblemParams(s=0.4, q=np.inf)
+    with pytest.raises(ParameterError):
         ProblemParams(s=0.4, q=2.0, lam=-0.01)
 
 

@@ -429,8 +429,11 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
         fd_ok = fd_ok and rel <= 1e-4
     check("gateaux-fd", fd_ok, f"worst_rel={worst_fd:.3e}")
 
+    # the dense 16-stage ladder: the default's 3 stages would make a weak check
     trace = []
-    solve_singular_semilinear(system, params, 0.0, trace=trace)
+    solve_singular_semilinear(
+        system, params, 0.0, schedule=[0.1 * 4.0 ** (-k) for k in range(15)], trace=trace
+    )
     inc_ok = True
     prev = None
     for entry in trace:

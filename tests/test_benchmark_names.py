@@ -1,5 +1,6 @@
 """The benchmark's traced run wraps fraclab functions and reads report fields
-by name; a rename or a move must fail here rather than only in a traced run."""
+by name; a rename or a move must fail here rather than only in a traced run.
+Its set-up time includes warm-up ops, which must succeed."""
 
 import dataclasses
 import importlib
@@ -8,18 +9,27 @@ import pathlib
 import sys
 from collections import Counter
 
-import fraclab
+import pytest
 
-LAYERS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import fraclab
+from fraclab.cli import main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, name):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_layers(monkeypatch):
     # loading defines the wrapper tables only; no wrapper is installed
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return load_perfbench(monkeypatch, "layers")
 
 
 def test_wrapped_names_resolve(monkeypatch):
@@ -52,3 +62,12 @@ def test_trials_hook_reads_evaluations(monkeypatch):
     assert counts["bifurcation.trials"] == len(res.evaluations)
     assert counts["bifurcation.feasible"] == sum(e[2] is not None for e in res.evaluations)
     assert 0 < counts["bifurcation.feasible"] < counts["bifurcation.trials"]
+
+
+@pytest.mark.parametrize("workload", ["extremal", "continuation", "second-branch"])
+def test_warmups_succeed(monkeypatch, tmp_path, workload):
+    # setup_s times the warm-ups: a failing one would time an early exit
+    workloads = load_perfbench(monkeypatch, "workloads")
+    argvs = workloads.warmup_argvs(workload, workloads.load_table())
+    for k, argv in enumerate(argvs):
+        assert main([*argv, "--output-dir", str(tmp_path / str(k))]) == 0, argv

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,21 @@ def test_nonconvergence_exit_code(tmp_path):
     payload = json.loads((out / "solution.json").read_text())
     assert payload["converged"] is False
     assert payload["supersolution"]["valid"] is False
+
+
+def test_converged_iterate_does_not_stall(tmp_path):
+    # the eps = 0 stage reaches a rounding-level defect that no step can lower
+    rc, out = run(tmp_path, "pure-singular", "--s", "0.4", "--q", "0.5", "--N", "16")
+    assert rc == 0
+    assert json.loads((out / "pure_singular.json").read_text())["converged"] is True
+
+
+def test_import_defers_scipy_optimize():
+    # only m_matrix_threshold needs scipy.optimize, which is slow to import
+    code = "import sys, fraclab.cli; sys.exit('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(fraclab.solver.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cold_start_overflow_exits_convergence(tmp_path, capsys):

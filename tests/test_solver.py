@@ -4,13 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fraclab.operator
 import fraclab.solver
 from fraclab import (
     ConvergenceError,
     ParameterError,
+    ProblemParams,
     assemble,
+    build_grid,
     build_supersolution,
     comparison_check,
     default_multiplier_ladder,
@@ -23,7 +26,7 @@ from fraclab import (
     solve_singular_semilinear,
     weak_residual,
 )
-from fraclab.solver import POSITIVITY_FLOOR, RESIDUAL_TOL
+from fraclab.solver import POSITIVITY_FLOOR, RESIDUAL_TOL, newton
 
 
 def test_pure_singular_baseline(system128, params_s04q2, w128):
@@ -55,13 +58,63 @@ def test_weak_residual_detects_perturbation(system128, params_s04q2, w128):
 def test_stagewise_monotonicity(system128, params_s04q2):
     """iterates grow as the regularization shrinks"""
     trace = []
-    solve_singular_semilinear(system128, params_s04q2, trace=trace)
+    solve_singular_semilinear(
+        system128, params_s04q2, schedule=[0.1 * 4.0 ** (-k) for k in range(15)], trace=trace
+    )
     assert len(trace) >= 10
     for prev, cur in zip(trace, trace[1:]):
         assert (cur["values"] - prev["values"]).min() >= -1e-9
     eps_seen = [t["eps"] for t in trace]
     assert eps_seen[-1] == 0.0
     assert all(b < a for a, b in zip(eps_seen[:-2], eps_seen[1:-1]))
+
+
+def test_default_schedule_two_levels(system128, params_s04q2, w128):
+    """the two default levels reach the dense ladder's w in far fewer steps"""
+    trace = []
+    u, rep = solve_singular_semilinear(system128, params_s04q2, trace=trace)
+    assert [t["eps"] for t in trace] == [0.1, 1e-9, 0.0]
+    np.testing.assert_array_equal(u, w128)
+    dense, drep = solve_singular_semilinear(
+        system128, params_s04q2, schedule=[0.1 * 4.0 ** (-k) for k in range(15)]
+    )
+    assert rep.converged and drep.converged
+    assert np.abs(u - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert 2 * rep.iterations <= drep.iterations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.05, 0.49),
+    q=st.floats(0.1, 5.0),
+    n=st.sampled_from([16, 32, 64]),
+)
+@example(s=0.4, q=0.5, n=16)
+def test_pure_singular_converges(s, q, n):
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    _, rep = solve_pure_singular(system, ProblemParams(s=s, q=q))
+    assert rep.converged
+    assert rep.residual <= RESIDUAL_TOL
+
+
+def test_newton_returns_converged_start():
+    """at rounding-level defect no step lowers it: Newton returns the iterate"""
+    system = assemble(build_grid(-1.0, 1.0, 16), 0.3)
+    params = ProblemParams(s=0.3, q=1.0)
+    w, rep = solve_pure_singular(system, params)
+    assert rep.converged
+    u, its = newton(system, params, w)
+    assert its == 0
+    np.testing.assert_array_equal(u, w)
+
+
+def test_steep_singularity_stays_silent():
+    """trials whose defect norm overflows are rejected without numeric warnings"""
+    system = assemble(build_grid(-1.0, 1.0, 16), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = solve_pure_singular(system, ProblemParams(s=0.3, q=20.0))
+    assert rep.converged
 
 
 def test_schedule_validation(system64, params_s04q2):

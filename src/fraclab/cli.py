@@ -219,7 +219,7 @@ def cmd_pure_singular(cfg: RunConfig) -> int:
                    grid.nodes, u, "x u"),
     ]
     write_manifest(out, cfg.to_dict(), {"pure-singular": asdict(rep)}, files, __version__)
-    return 0
+    return 0 if rep.converged else 3
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -344,7 +344,7 @@ def cmd_regularity(cfg: RunConfig) -> int:
     files = [write_json(os.path.join(out, "regularity.json"), payload)]
     files.extend(emit_plot_data(fit, out, "regularity"))
     write_manifest(out, cfg.to_dict(), {"regularity": payload["fit"]}, files, __version__)
-    return 0
+    return 0 if rep.converged else 3
 
 
 def _run_validate_battery(cfg: RunConfig) -> tuple:

@@ -10,9 +10,10 @@ critical term is present (mountain-pass polish).
 
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
-ladder over the torsion-like profile, and the monotone iteration that
-climbs from the pure singular solution to the minimal solution of the full
-problem.
+ladder over the torsion-like profile, checked for every rung in one pass
+because A(w + M z) = A w + M A z, and the monotone iteration that climbs
+from the pure singular solution to the minimal solution of the full problem
+by warm Newton solves at eps = 0.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def newton(system, params, u, g=0.0, eps=0.0):
     stays above POSITIVITY_FLOOR and lowers the defect norm; it stops when
     the accepted step is at most NEWTON_STEP_TOL relative to the iterate.
     The Jacobian is factorized with Cholesky when lam = 0 (it is then SPD)
-    and with LU otherwise.  Returns (u, iterations); raises ConvergenceError
+    and with LU otherwise.  Returns (u, iterations).  Raises ConvergenceError
     when the line search stalls on an iterate whose Newton step is still
     above that tolerance (at a converged iterate the defect sits at rounding
-    level and no step can lower it).
+    level and no step can lower it), and when an unregularized solve
+    (eps = 0) takes NEWTON_MAX_ITER steps; a regularized level only seeds
+    the next one, so there the last iterate is returned.
     """
     spd = params.lam == 0.0
     for it in range(NEWTON_MAX_ITER):
@@ -121,7 +124,9 @@ def newton(system, params, u, g=0.0, eps=0.0):
         u = u + t * du
         if np.linalg.norm(t * du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
             return u, it + 1
-    return u, NEWTON_MAX_ITER
+    if eps > 0.0:
+        return u, NEWTON_MAX_ITER
+    raise ConvergenceError(f"no convergence within {NEWTON_MAX_ITER} Newton steps")
 
 
 def _continuation(system, params, g, schedule, u=None, trace=None):
@@ -236,6 +241,25 @@ class SupersolutionResult:
     attempts: int
 
 
+def _ladder_defects(system: DiscreteSystem, params: ProblemParams, multipliers):
+    """Candidates ubar = w + M z, one row per multiplier, and each row's minimum defect.
+
+    A is linear, so A ubar = A w + M (A z): two matrix-vector products serve
+    every rung and the rest of each rung's defect is O(N).  A rung whose
+    critical term overflows reads a defect of -inf, which fails validation.
+    """
+    w, _ = solve_pure_singular(system, params)
+    z = system.torsion
+    M = np.asarray(multipliers, dtype=float)[:, None]
+    ub = w + M * z
+    with np.errstate(over="ignore"):
+        src = ub ** (-params.q)
+        if params.lam != 0.0:
+            src = src + params.lam * ub ** (params.crit - 1.0)
+        d = system.stiffness @ w + M * (system.stiffness @ z) - system.massw * src
+    return ub, d.min(axis=1)
+
+
 def build_supersolution(
     system: DiscreteSystem,
     params: ProblemParams,
@@ -249,18 +273,16 @@ def build_supersolution(
     A ubar - massw (ubar^{-q} + lam ubar^{crit-1}) is >= -ORDER_SLACK at
     every node.  M = 0 is permitted (the check then reduces to whether w
     itself absorbs the critical term, true only at lam = 0); negative M is
-    not.
+    not.  This is the one-rung case of ``scan_supersolution``.
     """
     if not M >= 0.0:
         raise ParameterError(f"multiplier must be nonnegative, got {M}")
-    w, _ = solve_pure_singular(system, params)
-    ub = w + float(M) * system.torsion
-    worst = float(defect(system, params, ub).min())
+    ub, worst = _ladder_defects(system, params, [M])
     return SupersolutionResult(
-        valid=worst >= -ORDER_SLACK,
+        valid=bool(worst[0] >= -ORDER_SLACK),
         multiplier=float(M),
-        values=ub,
-        worst_defect=worst,
+        values=ub[0],
+        worst_defect=float(worst[0]),
         attempts=1,
     )
 
@@ -268,23 +290,30 @@ def build_supersolution(
 def scan_supersolution(system: DiscreteSystem, params: ProblemParams) -> SupersolutionResult:
     """Scan ``default_multiplier_ladder`` for the first valid supersolution.
 
-    The first multiplier that validates wins; when none does, the result
-    carries valid=False and ``worst_defect`` reports the best (largest)
-    minimum defect seen across the ladder.
+    Every rung is checked in one pass (see ``build_supersolution`` for the
+    verdict).  The first multiplier that validates wins and ``attempts`` is
+    its 1-based position on the ladder; when none does, the result carries
+    valid=False, ``attempts`` is the ladder length and ``worst_defect``
+    reports the best (largest) minimum defect across the ladder.
     """
     ladder = default_multiplier_ladder()
-    best = -np.inf
-    for k, M in enumerate(ladder):
-        res = build_supersolution(system, params, M)
-        best = max(best, res.worst_defect)
-        if res.valid:
-            return replace(res, attempts=k + 1)
+    ub, worst = _ladder_defects(system, params, ladder)
+    valid = worst >= -ORDER_SLACK
+    if not valid.any():
+        return SupersolutionResult(
+            valid=False,
+            multiplier=None,
+            values=None,
+            worst_defect=float(worst.max()),
+            attempts=len(ladder),
+        )
+    k = int(np.argmax(valid))
     return SupersolutionResult(
-        valid=False,
-        multiplier=None,
-        values=None,
-        worst_defect=best,
-        attempts=len(ladder),
+        valid=True,
+        multiplier=ladder[k],
+        values=ub[k].copy(),
+        worst_defect=float(worst[k]),
+        attempts=k + 1,
     )
 
 
@@ -300,7 +329,10 @@ def monotone_iteration(
 
     ``base`` defaults to the system's pure singular solution w; a minimal
     solution at a smaller lam is a warm start too.  Each step solves the
-    frozen-source singular problem, warm-started from the previous iterate.
+    frozen-source singular problem by one damped Newton at eps = 0 started
+    from the previous iterate (the first from ``base``): the Jacobian is SPD
+    on the positive cone, so no regularized stage is needed.  A step whose
+    Newton fails ends the iteration with status inner-failure.
     The sequence is nondecreasing; its limit, when the sup norms stay
     bounded, is the minimal solution.  ``bound`` may carry a validated
     supersolution, in which case every iterate is checked against it.  The
@@ -321,10 +353,7 @@ def monotone_iteration(
     for k in range(1, cap + 1):
         g = params.lam * u ** (ts - 1.0)
         try:
-            if k == 1:
-                unew, _ = _continuation(system, params, g, default_schedule())
-            else:
-                unew, _ = _continuation(system, params, g, [1e-8], u)
+            unew, _ = _continuation(system, params, g, [], u)
         except ConvergenceError:
             status = "inner-failure"
             break

@@ -64,6 +64,22 @@ def test_trials_hook_reads_evaluations(monkeypatch):
     assert 0 < counts["bifurcation.feasible"] < counts["bifurcation.trials"]
 
 
+def test_scan_hook_reads_attempts(monkeypatch, system128):
+    # attempts is the position of the first valid rung, not a loop counter
+    layers = load_layers(monkeypatch)
+    params = fraclab.ProblemParams(s=0.4, q=2.0)
+    valid = fraclab.scan_supersolution(system128, params.with_lam(0.03))
+    invalid = fraclab.scan_supersolution(system128, params.with_lam(0.1))
+    assert valid.valid and valid.attempts == 31
+    assert not invalid.valid and invalid.attempts == len(fraclab.default_multiplier_ladder())
+    counts = Counter()
+    on_return, _ = layers.HOOKS["solver.scan_supersolution"]
+    for res in (valid, invalid):
+        on_return(counts, (system128, params), res)
+    assert counts["solver.rungs_tried"] == valid.attempts + invalid.attempts
+    assert counts["solver.valid_scans"] == 1
+
+
 @pytest.mark.parametrize("workload", ["extremal", "continuation", "second-branch"])
 def test_warmups_succeed(monkeypatch, tmp_path, workload):
     # setup_s times the warm-ups: a failing one would time an early exit

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, file contracts, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import fraclab.cli
 import fraclab.solver
 from fraclab import (
     BifurcationDiagram,
@@ -122,6 +124,29 @@ def test_converged_iterate_does_not_stall(tmp_path):
     rc, out = run(tmp_path, "pure-singular", "--s", "0.4", "--q", "0.5", "--N", "16")
     assert rc == 0
     assert json.loads((out / "pure_singular.json").read_text())["converged"] is True
+
+
+@pytest.mark.parametrize("command", ["pure-singular", "regularity"])
+def test_unconverged_singular_solve_exits_convergence(tmp_path, capsys, command):
+    # q = 60: the unregularized Newton stage runs out of steps far from a solution
+    rc, _ = run(tmp_path, command, "--s", "0.25", "--q", "60", "--N", "64")
+    assert rc == 3
+    assert "convergence failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [("pure-singular", "pure_singular.json"),
+                                           ("regularity", "regularity.json")])
+def test_unconverged_report_exits_convergence(tmp_path, monkeypatch, command, name):
+    real = fraclab.cli.solve_pure_singular
+
+    def unconverged(system, params):
+        u, rep = real(system, params)
+        return u, dataclasses.replace(rep, converged=False)
+
+    monkeypatch.setattr(fraclab.cli, "solve_pure_singular", unconverged)
+    rc, out = run(tmp_path, command, "--s", "0.4", "--q", "2", "--N", "32")
+    assert rc == 3
+    assert (out / name).exists()
 
 
 def test_import_defers_scipy_optimize():

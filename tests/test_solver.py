@@ -18,15 +18,17 @@ from fraclab import (
     comparison_check,
     default_multiplier_ladder,
     envelope_check,
+    estimate_lambda_star,
     lambda_certificate,
     monotone_iteration,
     principal_eigenpair,
     scan_supersolution,
     solve_pure_singular,
     solve_singular_semilinear,
+    SupersolutionResult,
     weak_residual,
 )
-from fraclab.solver import POSITIVITY_FLOOR, RESIDUAL_TOL, newton
+from fraclab.solver import ORDER_SLACK, POSITIVITY_FLOOR, RESIDUAL_TOL, newton
 
 
 def test_pure_singular_baseline(system128, params_s04q2, w128):
@@ -237,6 +239,79 @@ def test_scan_supersolution_exhausts_ladder(system128, params_s04q2, monkeypatch
     assert len(factorizations) <= 1
 
 
+def per_rung_scan(system, params):
+    """The ladder walked one rung at a time through the full defect."""
+    w, _ = solve_pure_singular(system, params)
+    ladder = default_multiplier_ladder()
+    best = -np.inf
+    for k, M in enumerate(ladder):
+        ub = w + M * system.torsion
+        with np.errstate(over="ignore"):
+            worst = float(fraclab.operator.defect(system, params, ub).min())
+        best = max(best, worst)
+        if worst >= -ORDER_SLACK:
+            return SupersolutionResult(True, M, ub, worst, k + 1)
+    return SupersolutionResult(False, None, None, best, len(ladder))
+
+
+@pytest.mark.parametrize("lam, attempts", [(1e-4, 14), (0.06, 34), (0.062, 81)])
+def test_scan_matches_per_rung_reference(system128, params_s04q2, lam, attempts):
+    """valid early, valid late and never valid: one pass gives the loop's verdict"""
+    p = params_s04q2.with_lam(lam)
+    res = scan_supersolution(system128, p)
+    ref = per_rung_scan(system128, p)
+    assert res.attempts == ref.attempts == attempts
+    assert res.valid == ref.valid == (attempts < 81)
+    assert res.multiplier == ref.multiplier
+    if ref.valid:
+        np.testing.assert_array_equal(res.values, ref.values)
+    else:
+        assert res.values is None
+    assert abs(res.worst_defect - ref.worst_defect) <= 1e-12
+
+
+def test_scan_evaluates_no_full_defect(system128, params_s04q2, monkeypatch):
+    """the ladder's defects come from A w and A z, not one product per rung"""
+    calls = []
+    real_defect = fraclab.solver.defect
+
+    def counting_defect(*args, **kwargs):
+        calls.append(1)
+        return real_defect(*args, **kwargs)
+
+    monkeypatch.setattr(fraclab.solver, "defect", counting_defect)
+    assert scan_supersolution(system128, params_s04q2.with_lam(0.03)).valid
+    assert not scan_supersolution(system128, params_s04q2.with_lam(0.1)).valid
+    assert build_supersolution(system128, params_s04q2.with_lam(0.03), 2.0 ** -5).valid
+    assert not calls
+
+
+def test_lambda_star_near_half_order_stays_silent():
+    """rungs whose critical term overflows (crit = 100) fail without warnings"""
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.49)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimate_lambda_star(system, ProblemParams(s=0.49, q=0.5))
+    assert 0.0 < res.estimate < res.lambda_cert
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.floats(0.25, 0.49),
+    q=st.floats(0.1, 5.0),
+    frac=st.floats(1e-4, 1.2),
+    n=st.sampled_from([16, 32, 64, 128]),
+)
+def test_scan_verdicts_match_per_rung_reference(s, q, frac, n):
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    params = ProblemParams(s=s, q=q)
+    cert = lambda_certificate(params, principal_eigenpair(system).value)
+    p = params.with_lam(frac * cert)
+    res = scan_supersolution(system, p)
+    ref = per_rung_scan(system, p)
+    assert (res.valid, res.multiplier, res.attempts) == (ref.valid, ref.multiplier, ref.attempts)
+
+
 def test_monotone_iteration_fixed_at_zero_lambda(system128, params_s04q2, w128):
     u, report = monotone_iteration(system128, params_s04q2)
     assert report.converged
@@ -267,6 +342,23 @@ def test_monotone_iteration_trace(system128, params_s04q2, w128):
     # the limit is sandwiched between the baseline and the supersolution
     assert (u - w128).min() >= -1e-10
     assert (sup.values - u).min() >= -1e-8
+
+
+def test_monotone_steps_are_warm_newton_at_zero_eps(system128, params_s04q2, w128, monkeypatch):
+    """each step is one Newton solve at eps = 0, the first started from w"""
+    starts = []
+    real_newton = fraclab.solver.newton
+
+    def recording_newton(system, params, u, g=0.0, eps=0.0):
+        starts.append((u.copy(), eps))
+        return real_newton(system, params, u, g, eps)
+
+    monkeypatch.setattr(fraclab.solver, "newton", recording_newton)
+    u, report = monotone_iteration(system128, params_s04q2.with_lam(0.03))
+    assert report.converged
+    assert len(starts) == report.iterations
+    assert all(eps == 0.0 for _, eps in starts)
+    np.testing.assert_array_equal(starts[0][0], w128)
 
 
 def test_minimal_branch_monotone_in_lambda(system128, params_s04q2):

@@ -31,6 +31,17 @@ from .solver import (
 )
 from .variational import energy, mountain_pass_search
 
+# Width of the lambda* bisection bracket at which it stops, relative to the
+# bracket's upper end.
+LAMBDA_REL_TOL = 1e-2
+
+# Rungs of the geometric ladder in extremal_solution.
+EXTREMAL_RUNGS = 8
+
+# Boundary window of holder_fit and boundary_sandwich: nodes within this
+# fraction of the interval length from an endpoint.
+BOUNDARY_WINDOW_FRAC = 0.1
+
 
 def lambda_certificate(params: ProblemParams, lam1: float) -> float:
     """Upper certificate for the extremal parameter from the eigenvalue.
@@ -62,11 +73,7 @@ class LambdaStarResult:
     evaluations: tuple
 
 
-def estimate_lambda_star(
-    system: DiscreteSystem,
-    params: ProblemParams,
-    rel_tol: float = 1e-2,
-) -> LambdaStarResult:
+def estimate_lambda_star(system: DiscreteSystem, params: ProblemParams) -> LambdaStarResult:
     """Bisect the largest lam at which a supersolution over w validates.
 
     A trial lam is feasible when ``scan_supersolution`` finds a multiplier
@@ -74,16 +81,14 @@ def estimate_lambda_star(
     [0, lambda_certificate].  No minimal solution is computed: the
     validated supersolution lies above the subsolution w, which is what the
     sub/supersolution method needs for a solution between them.  lam
-    carried by ``params`` is ignored here.  ``rel_tol``, the bracket width
-    relative to its upper end, must lie in (0, 1).
+    carried by ``params`` is ignored here.  The bisection stops when the
+    bracket is LAMBDA_REL_TOL of its upper end wide.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     spec = principal_eigenpair(system)
     cert = lambda_certificate(params, spec.value)
     evaluations = []
     lo, hi = 0.0, cert
-    while hi - lo > rel_tol * max(hi, 1e-12) * 0.5:
+    while hi - lo > LAMBDA_REL_TOL * max(hi, 1e-12) * 0.5:
         mid = 0.5 * (lo + hi)
         sup = scan_supersolution(system, params.with_lam(mid))
         evaluations.append((mid, sup.valid, sup.multiplier))
@@ -174,12 +179,13 @@ def sweep_lambda(
 def extremal_solution(
     system: DiscreteSystem,
     params: ProblemParams,
-    lam_star: float | None = None,
-    rungs: int = 8,
+    lam_star: float,
     trace: list | None = None,
 ):
     """Climb a geometric ladder lam_star (1 - 2^{-m}) toward the extremal value.
 
+    The ladder has EXTREMAL_RUNGS rungs, m = 1, 2, ...; ``lam_star`` is an
+    estimate of the extremal value, such as ``estimate_lambda_star`` gives.
     Each rung warm-starts from the previous minimal solution; the rung
     solutions are nondecreasing nodewise.  The returned field is the deepest
     rung's solution and its report measures the weak residual at lam_star
@@ -187,16 +193,12 @@ def extremal_solution(
     problem.  Non-convergence partway leaves converged=False with
     ``iterations`` holding the deepest convergent rung.
     """
-    if rungs < 1:
-        raise ParameterError("need at least one rung")
-    if lam_star is None:
-        lam_star = estimate_lambda_star(system, params).estimate
     if lam_star <= 0.0:
         raise ParameterError("lam_star must be positive")
     u, _ = solve_pure_singular(system, params)
     all_ok = True
     done = 0
-    for m in range(1, rungs + 1):
+    for m in range(1, EXTREMAL_RUNGS + 1):
         lam_m = lam_star * (1.0 - 2.0 ** (-m))
         p = params.with_lam(lam_m)
         u_new, rep = monotone_iteration(system, p, base=u)
@@ -248,31 +250,24 @@ class HolderFit:
     log_values: np.ndarray
 
 
-def holder_fit(
-    grid: Grid,
-    params: ProblemParams,
-    u: Field,
-    width_frac: float = 0.1,
-) -> HolderFit:
+def holder_fit(grid: Grid, params: ProblemParams, u: Field) -> HolderFit:
     """Fit the boundary growth exponent over nodes near the endpoints.
 
-    Nodes with boundary distance delta <= width_frac * (b - a) enter an
-    equal-weight least-squares fit of log u.  For q != 1 the regressor is
-    log delta and the slope is the exponent; the expected value is s for
-    q < 1 and 2s/(q+1) for q > 1.  At q = 1 the profile carries a square
-    root logarithmic correction, so the regressor becomes
+    Nodes with boundary distance delta <= BOUNDARY_WINDOW_FRAC * (b - a)
+    enter an equal-weight least-squares fit of log u.  For q != 1 the
+    regressor is log delta and the slope is the exponent; the expected
+    value is s for q < 1 and 2s/(q+1) for q > 1.  At q = 1 the profile
+    carries a square root logarithmic correction, so the regressor becomes
     log(delta^s * sqrt(log(2/delta^s))) and the fitted exponent is the
-    slope times s.  A window holding fewer than 6 nodes is widened until it
-    has enough, with a warning.
+    slope times s.  A window holding fewer than 6 nodes (small N) is
+    widened until it has enough, with a warning.
     """
     u = np.asarray(u, dtype=float)
     if u.min() <= 0.0:
         raise ParameterError("fit needs a strictly positive field")
-    if not 0.0 < width_frac < 0.5:
-        raise ParameterError("width fraction must lie in (0, 1/2)")
     delta = boundary_distance(grid)
     length = grid.b - grid.a
-    width = width_frac * length
+    width = BOUNDARY_WINDOW_FRAC * length
     mask = delta <= width
     n_fit = int(mask.sum())
     widened = False
@@ -342,10 +337,6 @@ def boundary_profile(system: DiscreteSystem, params: ProblemParams) -> Field:
     return phi ** (2.0 / (q + 1.0))
 
 
-# Boundary window of boundary_sandwich, as a fraction of the interval length.
-SANDWICH_WIDTH_FRAC = 0.1
-
-
 @dataclass(frozen=True)
 class SandwichReport:
     """Two-sided pinch of a field between multiples of the boundary profile."""
@@ -367,7 +358,7 @@ def boundary_sandwich(
     """Pinch constants k_low, k_high with k_low*profile <= u <= k_high*profile.
 
     The constants are the extreme ratios of u to the boundary profile over
-    nodes within SANDWICH_WIDTH_FRAC of the interval length from an
+    nodes within BOUNDARY_WINDOW_FRAC of the interval length from an
     endpoint, so both inequalities are tight at some node.  A well-behaved
     solution keeps the two constants within a modest factor of each other.
     """
@@ -376,7 +367,7 @@ def boundary_sandwich(
         raise ParameterError("sandwich needs a strictly positive field")
     grid = system.grid
     delta = boundary_distance(grid)
-    width = SANDWICH_WIDTH_FRAC * (grid.b - grid.a)
+    width = BOUNDARY_WINDOW_FRAC * (grid.b - grid.a)
     mask = delta <= width
     if not mask.any():
         raise ParameterError("no nodes inside the sandwich window")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -70,29 +69,19 @@ class RunConfig:
     n: int = 256
     a: float = -1.0
     b: float = 1.0
-    tol_bracket: float = 1e-2
-    fit_window: float = 0.1
-    nu: float | None = None
     seed: int = 0
     output_dir: str = "fraclab-out"
 
     def validate(self) -> None:
-        ProblemParams(s=self.s, q=self.q, lam=self.lam if self.lam else 0.0)
+        # every lambda, each sweep value too, is checked before any solve
+        for lam in (self.lam or 0.0, *self.lams):
+            ProblemParams(s=self.s, q=self.q, lam=lam)
         if self.n < 2:
             raise ParameterError(f"need at least 2 nodes, got {self.n}")
         if not self.b > self.a:
             raise ParameterError(f"need b > a, got ({self.a}, {self.b})")
-        if not 0.0 < self.tol_bracket < 1.0:
-            raise ParameterError(f"tol_bracket must lie in (0, 1), got {self.tol_bracket}")
-        if not 0.0 < self.fit_window < 0.5:
-            raise ParameterError("fit_window must lie in (0, 1/2)")
-        if self.nu is not None and not 0.0 < self.nu < math.inf:
-            raise ParameterError(f"nu must be positive and finite, got {self.nu}")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
-        for l in self.lams:
-            if l < 0.0:
-                raise ParameterError("lambda values must be nonnegative")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -139,9 +128,6 @@ _FILE_KEYS = {
     "n": int,
     "a": float,
     "b": float,
-    "tol_bracket": float,
-    "fit_window": float,
-    "nu": float,
     "seed": int,
     "output_dir": str,
 }
@@ -277,7 +263,7 @@ def cmd_sweep(cfg: RunConfig, second: bool) -> int:
 def cmd_lambda_star(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     grid, system, params = _setup(cfg)
-    res = estimate_lambda_star(system, params, rel_tol=cfg.tol_bracket)
+    res = estimate_lambda_star(system, params)
     payload = {
         "estimate": res.estimate,
         "bracket": list(res.bracket),
@@ -309,7 +295,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
         return 3
     trace = [] if trace_path else None
     try:
-        second, srep = mountain_pass_search(system, params, first, nu=cfg.nu, trace=trace)
+        second, srep = mountain_pass_search(system, params, first, trace=trace)
     except ConvergenceError as exc:
         write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print(f"mountain pass failed: {exc}", file=sys.stderr)
@@ -333,7 +319,7 @@ def cmd_regularity(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     grid, system, params = _setup(cfg)
     u, rep = solve_pure_singular(system, params)
-    fit = holder_fit(grid, params, u, width_frac=cfg.fit_window)
+    fit = holder_fit(grid, params, u)
     payload = {
         "params": {"s": params.s, "q": params.q},
         "fit": {
@@ -490,9 +476,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--N", type=int, dest="n", help="interior node count")
     common.add_argument("--a", type=float, dest="a", help="left endpoint")
     common.add_argument("--b", type=float, dest="b", help="right endpoint")
-    common.add_argument("--tol-bracket", type=float, dest="tol_bracket")
-    common.add_argument("--fit-window", type=float, dest="fit_window")
-    common.add_argument("--nu", type=float, dest="nu", help="bubble cutoff radius")
     common.add_argument("--seed", type=int, dest="seed")
     common.add_argument("--output-dir", dest="output_dir")
 
@@ -502,8 +485,8 @@ def _make_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # abbreviation matching is off everywhere: --n silently resolving to --nu
-    # is exactly the kind of mix-up a parameter-heavy tool must reject
+    # abbreviation matching is off everywhere: a prefix silently resolving to
+    # another flag is exactly the kind of mix-up a parameter-heavy tool must reject
     kw = {"parents": [common], "allow_abbrev": False}
     sub.add_parser("solve", help="minimal solution at one lambda", **kw)
     sub.add_parser("pure-singular", help="solution without the critical term", **kw)

@@ -68,7 +68,7 @@ class ProblemParams:
 
     s    : order of the fractional Laplacian, 0 < s < 1/2
     q    : exponent of the singular term u^{-q}, q > 0
-    lam  : coefficient of the critical term, lam >= 0
+    lam  : coefficient of the critical term, 0 <= lam < inf
     """
 
     s: float
@@ -84,13 +84,13 @@ class ProblemParams:
             raise ParameterError(
                 f"admissibility q(2s-1) < 2s+1 fails for q={self.q}, s={self.s}"
             )
-        if not self.lam >= 0.0:
-            raise ParameterError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ParameterError(f"lam must be nonnegative and finite, got {self.lam}")
 
     @property
     def crit(self) -> float:
         """Critical exponent 2n/(n - 2s) with n = 1."""
-        return 2.0 / (1.0 - 2.0 * self.s)
+        return critical_exponent(1, self.s)
 
     @property
     def cns(self) -> float:

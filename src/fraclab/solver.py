@@ -1,12 +1,12 @@
 """Solvers for the singular semilinear problem and the minimal branch.
 
-The core routine solves A u = massw * ((u + eps)^{-q} + g) down a decreasing
-regularization schedule ending at eps = 0, with a damped Newton method at
-each stage.  The Jacobian A + diag(q massw (u+eps)^{-q-1}) is symmetric
-positive definite, so each stage factorizes with Cholesky and its Newton
-step descends the residual; a cold solve therefore needs only two levels,
-0.1 and 1e-9, before eps = 0.  The same Newton factorizes with LU when the
-critical term is present (mountain-pass polish).
+The core routine solves A u = massw * ((u + eps)^{-q} + g) from a cold start
+down a decreasing regularization schedule ending at eps = 0, with a damped
+Newton method at each stage.  The Jacobian A + diag(q massw (u+eps)^{-q-1})
+is symmetric positive definite, so each stage factorizes with Cholesky and
+its Newton step descends the residual; the solve therefore needs only two
+levels, 0.1 and 1e-9, before eps = 0.  The same Newton factorizes with LU
+when the critical term is present (mountain-pass polish).
 
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
@@ -103,24 +103,25 @@ def newton(system, params, u, g=0.0, eps=0.0):
         J = jacobian(system, params, u, eps)
         du = cho_solve(cho_factor(J), -r) if spd else lu_solve(lu_factor(J), -r)
         t = 1.0
-        rn0 = np.linalg.norm(r)
-        for _ in range(40):
-            ut = u + t * du
-            # a trial near the floor can overflow the defect norm to inf,
-            # which rejects it like any other trial that does not descend
-            with np.errstate(over="ignore"):
+        # a norm can overflow to inf: a trial near the floor is then rejected
+        # like any other that does not descend, and under a huge lam the
+        # current defect and the step overflow, so the line search stalls
+        with np.errstate(over="ignore"):
+            rn0 = np.linalg.norm(r)
+            for _ in range(40):
+                ut = u + t * du
                 if (
                     ut.min() > POSITIVITY_FLOOR
                     and np.linalg.norm(defect(system, params, ut, g, eps)) < rn0
                 ):
                     break
-            t *= 0.5
-        else:
-            if np.linalg.norm(du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
-                return u, it
-            raise ConvergenceError(
-                f"line search stalled at eps={eps:g} after {it} Newton steps"
-            )
+                t *= 0.5
+            else:
+                if np.linalg.norm(du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
+                    return u, it
+                raise ConvergenceError(
+                    f"line search stalled at eps={eps:g} after {it} Newton steps"
+                )
         u = u + t * du
         if np.linalg.norm(t * du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
             return u, it + 1
@@ -129,56 +130,23 @@ def newton(system, params, u, g=0.0, eps=0.0):
     raise ConvergenceError(f"no convergence within {NEWTON_MAX_ITER} Newton steps")
 
 
-def _continuation(system, params, g, schedule, u=None, trace=None):
-    """Newton down ``schedule`` and then at eps = 0 for the frozen source g.
-
-    ``u`` is the start iterate, or None for a cold start from the linear
-    solve at the first level.  Returns (u, total Newton iterations).
-    """
-    base = params.with_lam(0.0)
-    total = 0
-    for eps in schedule + [0.0]:
-        if u is None:
-            try:
-                head = eps ** (-params.q)
-            except OverflowError:
-                raise ConvergenceError(
-                    f"cold-start source eps^-q overflows at eps={eps:g}, q={params.q:g}"
-                ) from None
-            u = solve_dirichlet(system, head + g)
-        u, its = newton(system, base, u, g, eps)
-        total += its
-        if trace is not None:
-            trace.append(
-                {
-                    "eps": eps,
-                    "newton_iterations": its,
-                    "stage_residual": float(np.abs(defect(system, base, u, g, eps)).max()),
-                    "values": u.copy(),
-                }
-            )
-    if u.min() <= 0.0:
-        raise ConvergenceError("solver left the positive cone")
-    return u, total
-
-
 def solve_singular_semilinear(
     system: DiscreteSystem,
     params: ProblemParams,
     g=0.0,
     schedule=None,
-    start: Field | None = None,
     trace: list | None = None,
 ):
-    """Solve A u = massw (u^{-q} + g) by eps continuation.
+    """Solve A u = massw (u^{-q} + g) by eps continuation from a cold start.
 
     ``g`` is a frozen nonnegative source (scalar or nodal vector; a wrong
     shape or a non-finite entry raises ParameterError); lam in ``params``
-    plays no part in the equation.  Without a ``start`` the full default
-    schedule runs and its last level must be at most 1e-8 of the first;
-    with a warm start a short tail is acceptable.  Each stage appends
-    a dict to ``trace`` when one is supplied.  The final stage always solves
-    the unregularized equation (eps = 0).
+    plays no part in the equation.  The start iterate is the linear solve
+    with source eps^{-q} + g at the head of ``schedule`` (the default
+    schedule unless one is given), whose last level must be at most 1e-8 of
+    the first; damped Newton then runs at every level and finally at
+    eps = 0, the unregularized equation.  Each stage appends a dict to
+    ``trace`` when one is supplied.
 
     Returns the positive solution field and a SolveReport on the
     ``auxiliary`` branch (callers of record wrap it under their own label).
@@ -193,15 +161,33 @@ def solve_singular_semilinear(
         raise ParameterError("schedule levels must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ParameterError("schedule must decrease strictly")
-    if start is None and schedule[-1] > 1e-8 * schedule[0]:
+    if not schedule or schedule[-1] > 1e-8 * schedule[0]:
         raise ParameterError("cold-start schedule must end at most 1e-8 of its head")
 
-    u = None if start is None else np.asarray(start, dtype=float).copy()
-    if u is not None and u.min() <= 0.0:
-        raise ParameterError("start iterate must be strictly positive")
-
-    u, total = _continuation(system, params, g, schedule, u, trace)
-    rmax = float(np.abs(defect(system, params.with_lam(0.0), u, g)).max())
+    try:
+        head = schedule[0] ** (-params.q)
+    except OverflowError:
+        raise ConvergenceError(
+            f"cold-start source eps^-q overflows at eps={schedule[0]:g}, q={params.q:g}"
+        ) from None
+    u = solve_dirichlet(system, head + g)
+    base = params.with_lam(0.0)
+    total = 0
+    for eps in schedule + [0.0]:
+        u, its = newton(system, base, u, g, eps)
+        total += its
+        if trace is not None:
+            trace.append(
+                {
+                    "eps": eps,
+                    "newton_iterations": its,
+                    "stage_residual": float(np.abs(defect(system, base, u, g, eps)).max()),
+                    "values": u.copy(),
+                }
+            )
+    if u.min() <= 0.0:
+        raise ConvergenceError("solver left the positive cone")
+    rmax = float(np.abs(defect(system, base, u, g)).max())
     report = SolveReport(
         residual=rmax,
         iterations=total,
@@ -322,7 +308,6 @@ def monotone_iteration(
     params: ProblemParams,
     base: Field | None = None,
     bound: Field | None = None,
-    cap: int = MONOTONE_CAP,
     trace: list | None = None,
 ):
     """Iterate L(u_k) = lam u_{k-1}^{crit-1} upward from ``base``.
@@ -332,13 +317,14 @@ def monotone_iteration(
     frozen-source singular problem by one damped Newton at eps = 0 started
     from the previous iterate (the first from ``base``): the Jacobian is SPD
     on the positive cone, so no regularized stage is needed.  A step whose
-    Newton fails ends the iteration with status inner-failure.
+    Newton fails or leaves the positive cone ends the iteration with status
+    inner-failure.
     The sequence is nondecreasing; its limit, when the sup norms stay
     bounded, is the minimal solution.  ``bound`` may carry a validated
     supersolution, in which case every iterate is checked against it.  The
     iteration has settled when a step changes no node by more than
-    MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP) or hitting
-    ``cap`` returns converged=False.
+    MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP) or running
+    MONOTONE_CAP steps returns converged=False.
     """
     if params.lam < 0.0:
         raise ParameterError("lam must be nonnegative")
@@ -348,13 +334,17 @@ def monotone_iteration(
     if bound is not None and np.any(u > np.asarray(bound, dtype=float) + 1e-8):
         raise ParameterError("starting field must sit below the supersolution")
     ts = params.crit
+    frozen = params.with_lam(0.0)
     status = "cap"
     k = 0
-    for k in range(1, cap + 1):
+    for k in range(1, MONOTONE_CAP + 1):
         g = params.lam * u ** (ts - 1.0)
         try:
-            unew, _ = _continuation(system, params, g, [], u)
+            unew, _ = newton(system, frozen, u, g)
         except ConvergenceError:
+            status = "inner-failure"
+            break
+        if unew.min() <= 0.0:
             status = "inner-failure"
             break
         inc = unew - u

@@ -25,6 +25,7 @@ from .operator import (
     DiscreteSystem,
     Field,
     ProblemParams,
+    critical_exponent,
     defect,
     energy,
     kernel_constant,
@@ -75,7 +76,7 @@ def critical_quotient(system: DiscreteSystem, u: Field) -> float:
     if not np.any(u != 0.0):
         raise ParameterError("quotient undefined at the zero field")
     s = system.s
-    ts = 2.0 / (1.0 - 2.0 * s)
+    ts = critical_exponent(1, s)
     den = np.sum(system.massw * np.abs(u) ** ts) ** (2.0 / ts)
     return float((u @ (system.stiffness @ u) / kernel_constant(s)) / den)
 
@@ -101,7 +102,7 @@ def sobolev_constant(
 
 def _minimize_quotient(system: DiscreteSystem, start: Field) -> float:
     s = system.s
-    ts = 2.0 / (1.0 - 2.0 * s)
+    ts = critical_exponent(1, s)
     c = kernel_constant(s)
     A = system.stiffness
     mw = system.massw
@@ -335,15 +336,14 @@ def mountain_pass_search(
     system: DiscreteSystem,
     params: ProblemParams,
     first: Field,
-    nu: float | None = None,
     trace: list | None = None,
 ):
     """Locate a second solution above the minimal one at the same lam.
 
     A path from the minimal solution to a far point along a bubble direction
     (``make_bubble`` at scale MP_BUBBLE_EPS with the system's Sobolev
-    constant and cutoff ``nu``) is relaxed by a climbing elastic band: every
-    interior sample moves down the A-preconditioned gradient with the
+    constant and the default cutoff) is relaxed by a climbing elastic band:
+    every interior sample moves down the A-preconditioned gradient with the
     component along the path tangent removed, except the highest sample,
     which moves up that component instead.  Steps are capped by a quarter
     of the sample spacing, samples are projected onto the cone above the
@@ -363,9 +363,7 @@ def mountain_pass_search(
     if first.min() <= 0.0:
         raise ParameterError("the base solution must be strictly positive")
     A = system.stiffness
-    direction = make_bubble(
-        system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system), nu=nu
-    ).values
+    direction = make_bubble(system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system)).values
     base_level = energy(system, params, first)
 
     def anorm(v):

@@ -190,7 +190,7 @@ def test_criterion_04_monotone_contract(system256, params_s04q2, star256):
         extra = f"residual {res:.2e}"
     else:
         trace = []
-        u, rep = monotone_iteration(system256, p, cap=60, trace=trace)
+        u, rep = monotone_iteration(system256, p, trace=trace)
         monotone = all(e["min_increment"] >= -1e-10 for e in trace)
         extra = (
             f"no supersolution validates at lam={p.lam:.5f} "

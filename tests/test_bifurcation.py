@@ -19,9 +19,11 @@ from fraclab import (
     holder_fit,
     lambda_certificate,
     monotone_iteration,
+    mountain_pass_search,
     principal_eigenpair,
     scan_supersolution,
     solve_pure_singular,
+    solve_singular_semilinear,
     sweep_lambda,
     weak_residual,
 )
@@ -95,12 +97,6 @@ def test_feasible_trials_admit_minimal_solution(s, q, n):
         u, rep = monotone_iteration(system, p, bound=scan_supersolution(system, p).values)
         assert rep.converged
         assert rep.residual <= RESIDUAL_TOL
-
-
-def test_lambda_star_rejects_bad_tolerance(system64, params_s04q2):
-    for rel_tol in (np.nan, np.inf, 0.0, -1.0, 1.0):
-        with pytest.raises(ParameterError):
-            estimate_lambda_star(system64, params_s04q2, rel_tol=rel_tol)
 
 
 def test_lambda_star_bracket_structure(system128, params_s04q2):
@@ -191,9 +187,24 @@ def test_extremal_ladder(system128, params_s04q2, w128):
 
 def test_extremal_validation(system64, params_s04q2):
     with pytest.raises(ParameterError):
-        extremal_solution(system64, params_s04q2, lam_star=0.05, rungs=0)
-    with pytest.raises(ParameterError):
         extremal_solution(system64, params_s04q2, lam_star=-0.1)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param(name, call, id=name) for name, call in [
+        ("rel_tol", lambda sy, p, u: estimate_lambda_star(sy, p, rel_tol=1e-2)),
+        ("width_frac", lambda sy, p, u: holder_fit(sy.grid, p, u, width_frac=0.1)),
+        ("nu", lambda sy, p, u: mountain_pass_search(sy, p.with_lam(0.02), u, nu=0.2)),
+        ("start", lambda sy, p, u: solve_singular_semilinear(sy, p, schedule=[1e-8], start=u)),
+        ("rungs", lambda sy, p, u: extremal_solution(sy, p, 0.05, rungs=8)),
+        ("lam_star", lambda sy, p, u: extremal_solution(sy, p)),
+        ("cap", lambda sy, p, u: monotone_iteration(sy, p.with_lam(0.02), cap=60)),
+    ]
+])
+def test_fixed_settings_are_not_keywords(system64, params_s04q2, name, call):
+    # removed keywords fail at the call; lam_star has no default any more
+    with pytest.raises(TypeError, match=f"'{name}'"):
+        call(system64, params_s04q2, np.ones(system64.grid.n))
 
 
 def test_holder_fit_synthetic_power():

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, file contracts, determinism."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -79,29 +80,65 @@ def test_rejects_order_beyond_dimension(tmp_path, capsys):
     assert "n > 2s" in err
 
 
-def test_rejects_bad_ladder(tmp_path, capsys):
-    # the eps ladder is no longer a knob: the flag and the config key are gone
+@pytest.mark.parametrize("flag, key, value", [
+    ("--eps-ladder", "eps_ladder", "0.08,0.04,0.02"),
+    ("--tol-bracket", "tol_bracket", "0.01"),
+    ("--fit-window", "fit_window", "0.1"),
+    ("--nu", "nu", "0.2"),
+], ids=["eps_ladder", "tol_bracket", "fit_window", "nu"])
+def test_rejects_bad_ladder(tmp_path, capsys, flag, key, value):
+    # fixed numerical settings are not knobs: the flag and the config key are gone
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--eps-ladder", "0.08,0.04"])
+        main(["solve", flag, value])
     assert exc.value.code == 2
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("eps_ladder=0.08,0.04,0.02\n")
+    cfgfile.write_text(f"{key}={value}\n")
     rc, _ = run(tmp_path, "solve", "--s", "0.4", "--q", "2", "--lambda", "0.03",
                 "--N", "32", "--config", str(cfgfile))
     assert rc == 2
-    assert "unknown config key 'eps_ladder'" in capsys.readouterr().err
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_cli_surface_is_pinned():
+    # a new knob must be added here on purpose
+    common = {"-h", "--help", "--config", "--s", "--q", "--lambda", "--N", "--a", "--b",
+              "--seed", "--output-dir"}
+    expected = {
+        "solve": common,
+        "pure-singular": common,
+        "sweep": common | {"--second"},
+        "lambda-star": common,
+        "mountain-pass": common | {"--trace"},
+        "regularity": common,
+        "validate": common,
+    }
+    parser = fraclab.cli._make_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == expected
+    assert set(fraclab.cli._FILE_KEYS) == {"s", "q", "lambda", "n", "a", "b", "seed",
+                                           "output_dir"}
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "s", "q", "lam", "lams", "n", "a", "b", "seed", "output_dir"
+    ]
 
 
 @pytest.mark.parametrize("argv", [
-    ("lambda-star", "--tol-bracket", "nan"),
-    ("lambda-star", "--tol-bracket", "inf"),
-    ("mountain-pass", "--lambda", "0.02", "--nu", "nan"),
     ("pure-singular", "--q", "inf"),
+    ("solve", "--lambda", "inf"),
+    ("mountain-pass", "--lambda", "inf"),
+    ("sweep", "--lambda", "0.01,inf"),
+    ("sweep", "--lambda", "0.01,nan"),
 ])
 def test_rejects_non_finite_knobs(tmp_path, capsys, argv):
-    rc, _ = run(tmp_path, argv[0], "--s", "0.4", "--q", "2", "--N", "32", *argv[1:])
+    rc, out = run(tmp_path, argv[0], "--s", "0.4", "--q", "2", "--N", "32", *argv[1:])
     assert rc == 2
     assert "parameter error" in capsys.readouterr().err
+    # rejected while the configuration is checked, before any solve
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_usage(tmp_path):

@@ -151,6 +151,8 @@ def test_problem_params_validation():
         ProblemParams(s=0.4, q=np.inf)
     with pytest.raises(ParameterError):
         ProblemParams(s=0.4, q=2.0, lam=-0.01)
+    with pytest.raises(ParameterError):
+        ProblemParams(s=0.4, q=2.0, lam=np.inf)
 
 
 @pytest.mark.parametrize("s", sorted(COLUMN_TABLE))

@@ -2,20 +2,21 @@
 
 The zero-order certificate bounds the extremal parameter from above by
 the maximum, in closed form, of a one-dimensional quotient built from the
-principal eigenvalue.  The estimate itself comes from bisection on a
-feasibility oracle: a value is feasible when a supersolution over the pure
-singular solution w validates.  Above the M-matrix threshold of the order
-the discrete comparison principle then puts a solution between w and that
-supersolution (the sub/supersolution method); below it the ordering is
-observed, not proven.  Near-extremal solutions are obtained by
-warm-starting up a geometric ladder toward the estimate.
+principal eigenvalue.  The estimate is a ladder lower bound: the largest
+value at which a supersolution over the pure singular solution w
+validates.  Each rung's defect is affine in the parameter, so that value
+is a closed form, and two ladder scans confirm it.  Above the M-matrix
+threshold of the order the discrete comparison principle then puts a
+solution between w and that supersolution (the sub/supersolution method);
+below it the ordering is observed, not proven.  Near-extremal solutions
+are obtained by warm-starting up a geometric ladder toward the estimate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,17 +24,13 @@ from .errors import ConvergenceError, ParameterError
 from .grid import Grid, boundary_distance
 from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair
 from .solver import (
-    SolveReport,
-    scan_supersolution,
+    RESIDUAL_TOL,
+    ladder_thresholds,
     monotone_iteration,
+    scan_supersolution,
     solve_pure_singular,
-    weak_residual,
 )
-from .variational import energy, mountain_pass_search
-
-# Width of the lambda* bisection bracket at which it stops, relative to the
-# bracket's upper end.
-LAMBDA_REL_TOL = 1e-2
+from .variational import mountain_pass_search
 
 # Rungs of the geometric ladder in extremal_solution.
 EXTREMAL_RUNGS = 8
@@ -61,10 +58,13 @@ def lambda_certificate(params: ProblemParams, lam1: float) -> float:
 
 @dataclass(frozen=True)
 class LambdaStarResult:
-    """Bisection outcome for the extremal parameter.
+    """Ladder lower bound for the extremal parameter.
 
-    ``evaluations`` holds one (lam, feasible, multiplier) per trial, the
-    multiplier being that of the validated supersolution, or None.
+    ``estimate`` is the largest lam at which a supersolution over w
+    validates; the ladder validates at ``bracket[0]`` and not at
+    ``bracket[1]``.  ``evaluations`` holds one (lam, feasible, multiplier)
+    per confirming scan, the multiplier being that of the validated
+    supersolution, or None.
     """
 
     estimate: float
@@ -74,33 +74,27 @@ class LambdaStarResult:
 
 
 def estimate_lambda_star(system: DiscreteSystem, params: ProblemParams) -> LambdaStarResult:
-    """Bisect the largest lam at which a supersolution over w validates.
+    """The largest lam at which a supersolution over w validates, in closed form.
 
-    A trial lam is feasible when ``scan_supersolution`` finds a multiplier
-    on its ladder whose supersolution validates; the search runs on
-    [0, lambda_certificate].  No minimal solution is computed: the
-    validated supersolution lies above the subsolution w, which is what the
-    sub/supersolution method needs for a solution between them.  lam
-    carried by ``params`` is ignored here.  The bisection stops when the
-    bracket is LAMBDA_REL_TOL of its upper end wide.
+    A lam is feasible when ``scan_supersolution`` finds a multiplier on its
+    ladder whose supersolution validates.  ``ladder_thresholds`` gives the
+    largest feasible lam and a bracket ORDER_SLACK in the defect to either
+    side of it, which two scans confirm (or ConvergenceError).  No minimal
+    solution is computed: the validated supersolution lies above the
+    subsolution w, which is what the sub/supersolution method needs for a
+    solution between them.  lam carried by ``params`` is ignored here.
     """
     spec = principal_eigenpair(system)
     cert = lambda_certificate(params, spec.value)
-    evaluations = []
-    lo, hi = 0.0, cert
-    while hi - lo > LAMBDA_REL_TOL * max(hi, 1e-12) * 0.5:
-        mid = 0.5 * (lo + hi)
-        sup = scan_supersolution(system, params.with_lam(mid))
-        evaluations.append((mid, sup.valid, sup.multiplier))
-        if sup.valid:
-            lo = mid
-        else:
-            hi = mid
+    lo, estimate, hi = ladder_thresholds(system, params)
+    scans = [scan_supersolution(system, params.with_lam(lam)) for lam in (lo, hi)]
+    if not scans[0].valid or scans[1].valid:
+        raise ConvergenceError(f"ladder verdicts do not confirm the bracket ({lo:g}, {hi:g})")
     return LambdaStarResult(
-        estimate=0.5 * (lo + hi),
+        estimate=estimate,
         bracket=(lo, hi),
         lambda_cert=cert,
-        evaluations=tuple(evaluations),
+        evaluations=tuple((lam, sup.valid, sup.multiplier) for lam, sup in zip((lo, hi), scans)),
     )
 
 
@@ -188,15 +182,14 @@ def extremal_solution(
     estimate of the extremal value, such as ``estimate_lambda_star`` gives.
     Each rung warm-starts from the previous minimal solution; the rung
     solutions are nondecreasing nodewise.  The returned field is the deepest
-    rung's solution and its report measures the weak residual at lam_star
-    itself, which is how far the ladder end is from solving the extremal
-    problem.  Non-convergence partway leaves converged=False with
-    ``iterations`` holding the deepest convergent rung.
+    convergent rung's solution (w when none converges) and its report is
+    measured at that rung's lam, where the field solves the problem.
+    converged=True needs every rung to converge and that residual to be at
+    most RESIDUAL_TOL; ``iterations`` holds the deepest convergent rung.
     """
     if lam_star <= 0.0:
         raise ParameterError("lam_star must be positive")
-    u, _ = solve_pure_singular(system, params)
-    all_ok = True
+    u, last = solve_pure_singular(system, params)
     done = 0
     for m in range(1, EXTREMAL_RUNGS + 1):
         lam_m = lam_star * (1.0 - 2.0 ** (-m))
@@ -213,19 +206,11 @@ def extremal_solution(
                 }
             )
         if not rep.converged:
-            all_ok = False
             break
-        u = u_new
+        u, last = u_new, rep
         done = m
-    p_star = params.with_lam(lam_star)
-    report = SolveReport(
-        residual=weak_residual(system, p_star, u),
-        iterations=done,
-        energy=energy(system, p_star, u),
-        branch="extremal",
-        converged=all_ok,
-    )
-    return u, report
+    converged = done == EXTREMAL_RUNGS and last.residual <= RESIDUAL_TOL
+    return u, replace(last, iterations=done, branch="extremal", converged=converged)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def _setup(cfg: RunConfig, lam: float | None = None):
     return grid, system, params
 
 
-def _solution_payload(cfg, grid, params, u, report) -> dict:
+def _solution_payload(grid, params, u, report) -> dict:
     return {
         "params": {"s": params.s, "q": params.q, "lam": params.lam},
         "grid": {"a": grid.a, "b": grid.b, "n": grid.n, "h": grid.h},
@@ -200,7 +200,7 @@ def cmd_pure_singular(cfg: RunConfig) -> int:
     u, rep = solve_pure_singular(system, params)
     files = [
         write_json(os.path.join(out, "pure_singular.json"),
-                   _solution_payload(cfg, grid, params, u, rep)),
+                   _solution_payload(grid, params, u, rep)),
         write_plot(os.path.join(out, "pure_singular_profile.dat"),
                    grid.nodes, u, "x u"),
     ]
@@ -214,7 +214,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     grid, system, params = _setup(cfg, lam)
     sup = scan_supersolution(system, params)
     u, rep = monotone_iteration(system, params, bound=sup.values if sup.valid else None)
-    payload = _solution_payload(cfg, grid, params, u, rep)
+    payload = _solution_payload(grid, params, u, rep)
     payload["supersolution"] = {
         "valid": sup.valid,
         "multiplier": sup.multiplier,
@@ -287,7 +287,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
     first, frep = monotone_iteration(system, params, bound=sup.values if sup.valid else None)
     files = [
         write_json(os.path.join(out, "first_solution.json"),
-                   _solution_payload(cfg, grid, params, first, frep)),
+                   _solution_payload(grid, params, first, frep)),
     ]
     if not frep.converged:
         write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
@@ -305,7 +305,7 @@ def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
             with open(trace_path, "w") as f:
                 for entry in trace:
                     f.write(json.dumps(entry, sort_keys=True) + "\n")
-    payload = _solution_payload(cfg, grid, params, second, srep)
+    payload = _solution_payload(grid, params, second, srep)
     payload["sobolev"] = sobolev_constant(system)
     payload["separation"] = abs(float(second.max()) - float(first.max())) / float(first.max())
     files.append(write_json(os.path.join(out, "second_solution.json"), payload))
@@ -364,7 +364,7 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
     sym = float(np.abs(A - A.T).max())
     offdiag = float((A - np.diag(np.diag(A))).max())
     try:
-        np.linalg.cholesky(A)
+        system.factor  # the one Cholesky of A; LinAlgError when A is not SPD
         spd = True
     except np.linalg.LinAlgError:
         spd = False
@@ -488,38 +488,29 @@ def _make_parser() -> argparse.ArgumentParser:
     # abbreviation matching is off everywhere: a prefix silently resolving to
     # another flag is exactly the kind of mix-up a parameter-heavy tool must reject
     kw = {"parents": [common], "allow_abbrev": False}
-    sub.add_parser("solve", help="minimal solution at one lambda", **kw)
-    sub.add_parser("pure-singular", help="solution without the critical term", **kw)
-    p_sweep = sub.add_parser("sweep", help="branch diagram over lambda values", **kw)
-    p_sweep.add_argument("--second", action="store_true", help="also trace the second branch")
-    sub.add_parser("lambda-star", help="bisect the extremal parameter", **kw)
-    p_mp = sub.add_parser("mountain-pass", help="second solution at one lambda", **kw)
-    p_mp.add_argument("--trace", dest="trace", help="stream sweep diagnostics to a JSON-lines file")
-    sub.add_parser("regularity", help="boundary exponent of the singular profile", **kw)
-    sub.add_parser("validate", help="deterministic invariant battery", **kw)
+    p = sub.add_parser("solve", help="minimal solution at one lambda", **kw)
+    p.set_defaults(run=lambda cfg, args: cmd_solve(cfg))
+    p = sub.add_parser("pure-singular", help="solution without the critical term", **kw)
+    p.set_defaults(run=lambda cfg, args: cmd_pure_singular(cfg))
+    p = sub.add_parser("sweep", help="branch diagram over lambda values", **kw)
+    p.add_argument("--second", action="store_true", help="also trace the second branch")
+    p.set_defaults(run=lambda cfg, args: cmd_sweep(cfg, args.second))
+    p = sub.add_parser("lambda-star", help="ladder lower bound of the extremal parameter", **kw)
+    p.set_defaults(run=lambda cfg, args: cmd_lambda_star(cfg))
+    p = sub.add_parser("mountain-pass", help="second solution at one lambda", **kw)
+    p.add_argument("--trace", dest="trace", help="stream sweep diagnostics to a JSON-lines file")
+    p.set_defaults(run=lambda cfg, args: cmd_mountain_pass(cfg, args.trace))
+    p = sub.add_parser("regularity", help="boundary exponent of the singular profile", **kw)
+    p.set_defaults(run=lambda cfg, args: cmd_regularity(cfg))
+    p = sub.add_parser("validate", help="deterministic invariant battery", **kw)
+    p.set_defaults(run=lambda cfg, args: cmd_validate(cfg))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "pure-singular":
-            return cmd_pure_singular(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.second)
-        if args.command == "lambda-star":
-            return cmd_lambda_star(cfg)
-        if args.command == "mountain-pass":
-            return cmd_mountain_pass(cfg, args.trace)
-        if args.command == "regularity":
-            return cmd_regularity(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(build_config(args), args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
@@ -529,7 +520,6 @@ def main(argv=None) -> int:
     except FraclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ when the critical term is present (mountain-pass polish).
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
 ladder over the torsion-like profile, checked for every rung in one pass
-because A(w + M z) = A w + M A z, and the monotone iteration that climbs
-from the pure singular solution to the minimal solution of the full problem
-by warm Newton solves at eps = 0.
+because A(w + M z) = A w + M A z, the largest lam at which a rung validates
+in closed form, and the monotone iteration that climbs from the pure
+singular solution to the minimal solution of the full problem by warm
+Newton solves at eps = 0.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ POSITIVITY_FLOOR = 1e-14
 NEWTON_MAX_ITER = 60
 NEWTON_STEP_TOL = 1e-12
 
-# Nodal slack of the supersolution, comparison and envelope verdicts.
+# Nodal slack of the supersolution, comparison and envelope verdicts; it
+# also sets the width of the lambda* bracket (see ladder_thresholds).
 ORDER_SLACK = 1e-8
 
 # Monotone iteration: step budget, the sup-norm change at which it has
@@ -228,22 +230,27 @@ class SupersolutionResult:
 
 
 def _ladder_defects(system: DiscreteSystem, params: ProblemParams, multipliers):
-    """Candidates ubar = w + M z, one row per multiplier, and each row's minimum defect.
+    """Candidates ubar = w + M z, one row per multiplier, with defects c - lam b.
 
-    A is linear, so A ubar = A w + M (A z): two matrix-vector products serve
-    every rung and the rest of each rung's defect is O(N).  A rung whose
-    critical term overflows reads a defect of -inf, which fails validation.
+    Returns (ubar, c, b): c = A ubar - massw ubar^{-q} is the lam-free part and
+    b = massw ubar^{crit-1} > 0 the critical coefficient.  A is linear, so
+    A ubar = A w + M (A z): two matrix-vector products serve every rung and the
+    rest is O(N).  A b that overflows reads inf and fails its rung at any lam > 0.
     """
     w, _ = solve_pure_singular(system, params)
     z = system.torsion
     M = np.asarray(multipliers, dtype=float)[:, None]
     ub = w + M * z
     with np.errstate(over="ignore"):
-        src = ub ** (-params.q)
-        if params.lam != 0.0:
-            src = src + params.lam * ub ** (params.crit - 1.0)
-        d = system.stiffness @ w + M * (system.stiffness @ z) - system.massw * src
-    return ub, d.min(axis=1)
+        c = system.stiffness @ w + M * (system.stiffness @ z) - system.massw * ub ** (-params.q)
+        b = system.massw * ub ** (params.crit - 1.0)
+    return ub, c, b
+
+
+def _worst_defects(c, b, lam: float):
+    """Each rung's minimum defect c - lam b; at lam = 0 an overflowed b plays no part."""
+    with np.errstate(over="ignore"):
+        return (c - lam * b if lam else c).min(axis=1)
 
 
 def build_supersolution(
@@ -263,7 +270,8 @@ def build_supersolution(
     """
     if not M >= 0.0:
         raise ParameterError(f"multiplier must be nonnegative, got {M}")
-    ub, worst = _ladder_defects(system, params, [M])
+    ub, c, b = _ladder_defects(system, params, [M])
+    worst = _worst_defects(c, b, params.lam)
     return SupersolutionResult(
         valid=bool(worst[0] >= -ORDER_SLACK),
         multiplier=float(M),
@@ -283,7 +291,8 @@ def scan_supersolution(system: DiscreteSystem, params: ProblemParams) -> Superso
     reports the best (largest) minimum defect across the ladder.
     """
     ladder = default_multiplier_ladder()
-    ub, worst = _ladder_defects(system, params, ladder)
+    ub, c, b = _ladder_defects(system, params, ladder)
+    worst = _worst_defects(c, b, params.lam)
     valid = worst >= -ORDER_SLACK
     if not valid.any():
         return SupersolutionResult(
@@ -301,6 +310,19 @@ def scan_supersolution(system: DiscreteSystem, params: ProblemParams) -> Superso
         worst_defect=float(worst[k]),
         attempts=k + 1,
     )
+
+
+def ladder_thresholds(system: DiscreteSystem, params: ProblemParams) -> tuple:
+    """(lam_0, lam_1, lam_2), lam_k = max over rungs of min over nodes (c + k ORDER_SLACK) / b.
+
+    lam_1 is the largest lam at which ``scan_supersolution`` validates (the
+    verdict there rests on rounding); at lam_0 some rung's defect is >= 0 at
+    every node, at lam_2 every rung's is <= -2 ORDER_SLACK at some node.
+    """
+    _, c, b = _ladder_defects(system, params, default_multiplier_ladder())
+    # a b that underflows to 0 gives +-inf: the node bounds no lam, or every lam
+    with np.errstate(divide="ignore", over="ignore"):
+        return tuple(float(((c + k * ORDER_SLACK) / b).min(axis=1).max()) for k in range(3))
 
 
 def monotone_iteration(

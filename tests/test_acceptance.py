@@ -354,14 +354,14 @@ def test_criterion_09_envelope_and_extremal(
     checked += 1
 
     trace = []
-    u_star, rep_star = extremal_solution(
+    u_star, _ = extremal_solution(
         system256, params_s04q2, lam_star=star256.estimate, trace=trace
     )
     rungs = [e["values"] for e in trace if e["converged"]]
     ladder_monotone = all(
         (b - a).min() >= -1e-8 for a, b in zip(rungs, rungs[1:])
     )
-    res_end = rep_star.residual
+    res_end = weak_residual(system256, params_s04q2.with_lam(star256.estimate), u_star)
     elapsed = time.perf_counter() - t0
     ok = (
         env_ok and checked >= 4 and ladder_monotone

@@ -61,7 +61,8 @@ def test_trials_hook_reads_evaluations(monkeypatch):
     on_return(counts, (system,), res)
     assert counts["bifurcation.trials"] == len(res.evaluations)
     assert counts["bifurcation.feasible"] == sum(e[2] is not None for e in res.evaluations)
-    assert 0 < counts["bifurcation.feasible"] < counts["bifurcation.trials"]
+    # the two scans confirming the closed-form bracket: one feasible, one not
+    assert (counts["bifurcation.trials"], counts["bifurcation.feasible"]) == (2, 1)
 
 
 def test_scan_hook_reads_attempts(monkeypatch, system128):

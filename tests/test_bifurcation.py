@@ -1,12 +1,14 @@
-"""Certificate, extremal-parameter bisection, branch sweeps, boundary exponents."""
+"""Certificate, extremal-parameter ladder bound, branch sweeps, boundary exponents."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraclab.bifurcation
 from fraclab import (
+    ConvergenceError,
     ParameterError,
     ProblemParams,
     boundary_distance,
@@ -33,8 +35,8 @@ from fraclab.solver import RESIDUAL_TOL
 # (5/4)^(1/3) and the maximum 2 (5/4)^(-2/3) - (5/4)^(-5/3)
 CERT_UNIT_Q2_S025 = 1.0341286512153042
 CERT_128_S04_Q2 = 1.8291705963577758
-LAMBDA_STAR_128 = 0.061292398522974786
-LAMBDA_STAR_BRACKET_128 = (0.06118075480981818, 0.061404042236131384)
+LAMBDA_STAR_128 = 0.06138299591015407
+LAMBDA_STAR_BRACKET_128 = (0.06138286884121239, 0.061383122979095754)
 
 
 def test_certificate_closed_form():
@@ -81,6 +83,69 @@ def test_lambda_star_runs_no_monotone_iteration(system128, params_s04q2, monkeyp
     assert res.estimate == pytest.approx(LAMBDA_STAR_128, rel=1e-9)
     assert res.bracket[0] == pytest.approx(LAMBDA_STAR_BRACKET_128[0], rel=1e-9)
     assert res.bracket[1] == pytest.approx(LAMBDA_STAR_BRACKET_128[1], rel=1e-9)
+
+
+def test_lambda_star_makes_two_scans(system128, params_s04q2, monkeypatch):
+    scanned = []
+    scan = fraclab.bifurcation.scan_supersolution
+
+    def counting(system, params):
+        scanned.append(params.lam)
+        return scan(system, params)
+
+    monkeypatch.setattr(fraclab.bifurcation, "scan_supersolution", counting)
+    res = estimate_lambda_star(system128, params_s04q2)
+    assert scanned == list(res.bracket)
+    assert [e[1] for e in res.evaluations] == [True, False]
+
+
+@pytest.mark.parametrize("bracket", [(1.0, 1.5, 2.0), (1e-6, 1.5e-6, 2e-6)],
+                         ids=["infeasible-low", "feasible-high"])
+def test_lambda_star_unconfirmed_bracket_raises(system64, params_s04q2, monkeypatch, bracket):
+    monkeypatch.setattr(fraclab.bifurcation, "ladder_thresholds", lambda sy, p: bracket)
+    with pytest.raises(ConvergenceError, match="do not confirm"):
+        estimate_lambda_star(system64, params_s04q2)
+
+
+def reference_bisection(system, params, hi, width):
+    """The search the closed form replaces: halve [0, hi] on scan verdicts
+    until the interval is at most ``width`` wide."""
+    lo = 0.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if scan_supersolution(system, params.with_lam(mid)).valid:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    s=st.floats(0.15, 0.49),
+    q=st.floats(0.1, 10.0),
+    n=st.sampled_from([16, 32, 64, 128]),
+)
+def test_lambda_star_closed_form_matches_bisection(s, q, n):
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    params = ProblemParams(s=s, q=q)
+    try:
+        principal_eigenpair(system)
+    except ConvergenceError:
+        # small s on a coarse grid: the lumped pencil's lowest mode is a
+        # grid-scale sawtooth, and lambda-star fails with the same typed error
+        with pytest.raises(ConvergenceError, match="principal mode"):
+            estimate_lambda_star(system, params)
+        return
+    res = estimate_lambda_star(system, params)
+    lo, hi = res.bracket
+    assert scan_supersolution(system, params.with_lam(lo)).valid
+    assert not scan_supersolution(system, params.with_lam(hi)).valid
+    assert lo < res.estimate < hi
+    # near s = 1/2 the certificate is up to 1e37 bracket widths, so a fixed
+    # number of halvings would not do: halve until a quarter bracket wide
+    b_lo, b_hi = reference_bisection(system, params, res.lambda_cert, 0.25 * (hi - lo))
+    assert lo <= b_lo < b_hi <= hi
 
 
 @pytest.mark.parametrize("s,q,n", [(0.4, 2.0, 128), (0.2, 1.0, 64)])
@@ -179,10 +244,24 @@ def test_extremal_ladder(system128, params_s04q2, w128):
     for prev, cur in zip(values, values[1:]):
         assert (cur - prev).min() >= -1e-8
     assert (u - w128).min() >= -1e-8
-    assert report.residual <= 1e-4
+    # the report is measured at the deepest rung, where u is a solution
+    assert report.residual <= RESIDUAL_TOL
     assert weak_residual(
-        system128, params_s04q2.with_lam(LAMBDA_STAR_128), u
+        system128, params_s04q2.with_lam(lams[-1]), u
     ) == pytest.approx(report.residual, rel=1e-12)
+    # how far the ladder end is from solving the problem at lam_star itself
+    assert weak_residual(system128, params_s04q2.with_lam(LAMBDA_STAR_128), u) <= 1e-4
+
+
+def test_extremal_report_without_convergent_rung(system64, params_s04q2):
+    """rung 1 lies beyond the certificate: the report is w's, measured at lam = 0"""
+    cert = lambda_certificate(params_s04q2, principal_eigenpair(system64).value)
+    u, report = extremal_solution(system64, params_s04q2, lam_star=4.0 * cert)
+    w, wrep = solve_pure_singular(system64, params_s04q2)
+    np.testing.assert_array_equal(u, w)
+    assert report.branch == "extremal"
+    assert report.iterations == 0 and not report.converged
+    assert report.residual == wrep.residual <= RESIDUAL_TOL
 
 
 def test_extremal_validation(system64, params_s04q2):

@@ -400,7 +400,13 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
         worst = min(worst, rep.worst_gap)
     check("comparison-pairs", ordered_all, f"worst_gap={worst:.3e}")
 
+    # w comes from the even block, which is exact because A equals its reflection
     w, _ = solve_pure_singular(system, params)
+    w_full, _ = solve_singular_semilinear(system, params)
+    mirror = bool(np.array_equal(A, A[::-1, ::-1]))
+    w_dev = float(np.abs(w - w_full).max() / np.abs(w_full).max())
+    check("parity", mirror and w_dev <= 1e-13, f"mirror={mirror} w_rel_dev={w_dev:.1e}")
+
     fd_ok = True
     worst_fd = 0.0
     for _ in range(3):

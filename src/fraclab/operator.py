@@ -15,6 +15,12 @@ The assembled ``DiscreteSystem`` owns every quantity that depends on it
 alone (see its docstring): each is computed once, on first use, and kept
 read-only for the life of the system.  The energy functional lives here
 beside its gradient ``defect`` and its Hessian ``jacobian``.
+
+The grid is uniform, so the Toeplitz stiffness commutes with the reflection
+i -> N-1-i and the system splits into an even and an odd block of about half
+the size.  ``DiscreteSystem.even`` owns that split: the torsion field is
+solved on the even block and mirrored back, and ``principal_eigenpair`` runs
+on both blocks.  Each block is formed from slices of the stiffness in O(N^2).
 """
 
 from __future__ import annotations
@@ -123,7 +129,9 @@ def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field, eps=0.0)
     d = params.q * system.massw * (u + eps) ** (-params.q - 1.0)
     if params.lam != 0.0:
         d = d - params.lam * (params.crit - 1.0) * system.massw * u ** (params.crit - 2.0)
-    return system.stiffness + np.diag(d)
+    J = system.stiffness.copy()
+    J.flat[:: J.shape[0] + 1] += d
+    return J
 
 
 def energy(system: "DiscreteSystem", params: ProblemParams, u: Field) -> float:
@@ -212,10 +220,13 @@ class DiscreteSystem:
     """Assembled stiffness matrix and lumped mass weights on a grid.
 
     ``assemble`` marks both arrays read-only, so no cached value can go
-    stale.  The stiffness factor, the torsion field, the principal
-    eigenpair, the pure singular solution (per q) and the Sobolev constant
-    are computed on first use through ``memo`` and kept for the life of the
-    system; cached arrays are read-only.
+    stale.  The stiffness factor, the even block, the torsion field, the
+    principal eigenpair, the pure singular solution (per q) and the Sobolev
+    constant are computed on first use through ``memo`` and kept for the
+    life of the system; cached arrays are read-only.
+
+    The even block is a system too.  It keeps its parent's grid, so the node
+    count of a field is read from ``massw``, never from ``grid``.
     """
 
     grid: Grid
@@ -240,9 +251,59 @@ class DiscreteSystem:
         return cho_solve(self.factor, rhs)
 
     @property
+    def even(self) -> "DiscreteSystem":
+        """Even block: stiffness P^T A P and mass P^T massw, of size ceil(N/2).
+
+        P is the even lift: column i holds e_i + e_{N-1-i}, and for odd N the
+        middle node's column a single 1.  A field u = P v solves a problem of
+        this system exactly when v solves it on the block, because the
+        nonlinearity acts node by node; ``lift`` maps v back to u.  The split
+        needs A to equal its reflection; a block does not, so it has no split.
+        """
+        def block():
+            if not np.array_equal(self.stiffness, self.stiffness[::-1, ::-1]):
+                raise ParameterError("stiffness is not reflection-symmetric: no parity split")
+            a, m = _parity_block(self, 1.0)
+            return DiscreteSystem(grid=self.grid, s=self.s, stiffness=a, massw=m)
+
+        return self.memo("even", block)
+
+    def lift(self, v: Field) -> Field:
+        """The field of this system whose left half is the even-block field ``v``."""
+        n = self.massw.shape[0]
+        return np.concatenate([v, v[: n - v.shape[0]][::-1]])
+
+    @property
     def torsion(self) -> Field:
-        """Read-only solution of the linear problem with unit source."""
-        return self.memo("torsion", lambda: read_only(solve_dirichlet(self, 1.0)))
+        """Read-only solution of the linear problem with unit source.
+
+        It is even, so it is solved on the even block and mirrored back.
+        """
+        return self.memo(
+            "torsion", lambda: read_only(self.lift(solve_dirichlet(self.even, 1.0)))
+        )
+
+
+def _parity_block(system: DiscreteSystem, sign: float) -> tuple:
+    """(Q^T A Q, Q^T massw) for the even (sign 1) or odd (sign -1) lift Q.
+
+    A commutes with the reflection, so entry (i, j) of the block is
+    2 (A[i, j] + sign A[i, N-1-j]), halved in the row and in the column of an
+    odd N's middle node (even lift only).  The odd lift has columns
+    e_i - e_{N-1-i}, i < N/2; the middle node carries no odd field.
+    """
+    n = system.massw.shape[0]
+    k = (n + 1) // 2 if sign > 0 else n // 2
+    a = system.stiffness
+    flip = a[:k, ::-1][:, :k]
+    block = a[:k, :k] + flip if sign > 0 else a[:k, :k] - flip
+    block *= 2.0
+    mass = 2.0 * system.massw[:k]
+    if sign > 0 and n % 2:
+        block[-1] *= 0.5
+        block[:, -1] *= 0.5
+        mass[-1] = system.massw[k - 1]
+    return read_only(block), read_only(mass)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -270,8 +331,9 @@ def assemble(grid: Grid, s: float) -> DiscreteSystem:
 def apply_operator(system: DiscreteSystem, u: Field) -> Field:
     """Matrix-vector product with the stiffness matrix."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (system.grid.n,):
-        raise ParameterError(f"field shape {u.shape} does not match grid size {system.grid.n}")
+    n = system.massw.shape[0]
+    if u.shape != (n,):
+        raise ParameterError(f"field shape {u.shape} does not match grid size {n}")
     return system.stiffness @ u
 
 
@@ -279,9 +341,10 @@ def nodal_source(system: DiscreteSystem, f, name: str) -> Field:
     """Broadcast a scalar or nodal source ``f`` to the grid, read-only.
 
     Raises ParameterError when ``f`` does not broadcast to the node count or
-    has a non-finite entry; ``name`` labels the source in the message.
+    has a non-finite entry; ``name`` labels the source in the message.  The
+    node count is read from ``massw``, so the even block takes its own size.
     """
-    n = system.grid.n
+    n = system.massw.shape[0]
     try:
         f = np.broadcast_to(np.asarray(f, dtype=float), (n,))
     except ValueError as exc:
@@ -322,21 +385,32 @@ class SpectralData:
 def principal_eigenpair(system: DiscreteSystem) -> SpectralData:
     """Smallest eigenvalue and positive eigenvector with max value 1.
 
+    The pencil splits into the even and the odd block, so the smallest
+    eigenvalue of the full pencil is the smaller of the two blocks' lowest.
+    An odd mode changes sign: when the odd block holds the lowest eigenvalue
+    the mode is rejected, and the message names both block eigenvalues.
     The eigenvalue is cross-checked against the Rayleigh quotient of the
-    returned mode to 1e-8 relative; a sign-indefinite mode is rejected.
-    Computed once per system; the mode is read-only.
+    returned mode in the full system to 1e-8 relative; a sign-indefinite
+    mode is rejected.  Computed once per system; the mode is read-only.
     """
     return system.memo("eigenpair", lambda: _principal_eigenpair(system))
 
 
+def _lowest(stiffness: np.ndarray, massw: np.ndarray) -> tuple:
+    vals, vecs = eigh(stiffness, np.diag(massw), subset_by_index=[0, 0])
+    return float(vals[0]), vecs[:, 0]
+
+
 def _principal_eigenpair(system: DiscreteSystem) -> SpectralData:
-    vals, vecs = eigh(
-        system.stiffness,
-        np.diag(system.massw),
-        subset_by_index=[0, 0],
-    )
-    lam1 = float(vals[0])
-    phi = vecs[:, 0]
+    even = system.even
+    lam1, v = _lowest(even.stiffness, even.massw)
+    lam_odd, _ = _lowest(*_parity_block(system, -1.0))
+    if lam_odd < lam1:
+        raise ConvergenceError(
+            "principal mode is not strictly positive: lowest mode is odd "
+            f"(even block {lam1!r}, odd block {lam_odd!r})"
+        )
+    phi = system.lift(v)
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
     if phi.min() <= 0.0:

@@ -11,8 +11,10 @@ is exactly the class of error a single-route test cannot see.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 from fraclab import (
+    ConvergenceError,
     ParameterError,
     ProblemParams,
     admissibility,
@@ -27,7 +29,7 @@ from fraclab import (
     principal_eigenpair,
     solve_dirichlet,
 )
-from fraclab.operator import interaction_column
+from fraclab.operator import _parity_block, interaction_column
 
 # kernel normalization constant, n = 1, from the Gamma-function formula
 # evaluated in 50-digit arithmetic
@@ -202,7 +204,9 @@ def test_stiffness_symmetric_toeplitz():
         system.stiffness[0, 0] = 1.0
     with pytest.raises(ValueError):
         system.massw[0] = 1.0
-    assert np.array_equal(system.torsion, solve_dirichlet(system, 1.0))
+    # the torsion field is solved on the even block: the full solve to rounding
+    full = solve_dirichlet(system, 1.0)
+    assert np.abs(system.torsion - full).max() <= 1e-13 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("s", [0.3, 0.1])
@@ -319,6 +323,66 @@ def test_principal_eigenvalue_mesh_stability(system128, system256):
 def test_principal_mode_symmetric(system128):
     phi = principal_eigenpair(system128).mode
     np.testing.assert_allclose(phi, phi[::-1], atol=1e-9)
+
+
+def parity_lift(n, sign):
+    """Dense lift: columns e_i + sign e_{n-1-i}, i < n/2, and the middle e_i for even parity."""
+    k = (n + 1) // 2 if sign > 0 else n // 2
+    Q = np.zeros((n, k))
+    for i in range(k):
+        Q[i, i] += 1.0
+        Q[n - 1 - i, i] += sign
+    if sign > 0 and n % 2:
+        Q[k - 1, k - 1] = 1.0
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 15])
+def test_parity_blocks_are_projections(n):
+    """the sliced blocks equal Q^T A Q and Q^T M Q; the lift mirrors a half field"""
+    system = assemble(build_grid(-1.0, 3.0, n), 0.3)
+    A, M = system.stiffness, np.diag(system.massw)
+    for sign in (1.0, -1.0):
+        Q = parity_lift(n, sign)
+        a, m = _parity_block(system, sign)
+        np.testing.assert_allclose(a, Q.T @ A @ Q, rtol=1e-14, atol=1e-14 * np.abs(A).max())
+        assert np.array_equal(np.diag(m), Q.T @ M @ Q)
+    even = system.even
+    assert even is system.even
+    assert even.massw.shape == ((n + 1) // 2,) and not even.stiffness.flags.writeable
+    v = np.arange(1.0, even.massw.shape[0] + 1.0)
+    assert np.array_equal(system.lift(v), parity_lift(n, 1.0) @ v)
+    if n > 2:  # a 1 x 1 block is its own reflection
+        with pytest.raises(ParameterError, match="no parity split"):
+            even.even
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.floats(0.05, 0.49), n=st.sampled_from([16, 31, 64]))
+def test_principal_eigenpair_matches_full_pencil(s, n):
+    """the two blocks raise exactly when the full pencil's lowest mode changes sign"""
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    vals, vecs = eigh(system.stiffness, np.diag(system.massw), subset_by_index=[0, 0])
+    phi = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+    if phi.min() <= 0.0:
+        with pytest.raises(ConvergenceError, match="principal mode is not strictly positive"):
+            principal_eigenpair(system)
+        return
+    spec = principal_eigenpair(system)
+    assert abs(spec.value - vals[0]) <= 1e-12 * vals[0]
+
+
+def test_odd_lowest_mode_is_diagnosed():
+    """small s on a coarse grid: the lowest mode is an odd sawtooth, and the error says so"""
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.1)
+    even = system.even
+    even_val = eigh(even.stiffness, np.diag(even.massw), eigvals_only=True,
+                    subset_by_index=[0, 0])[0]
+    with pytest.raises(ConvergenceError) as info:
+        principal_eigenpair(system)
+    msg = str(info.value)
+    assert msg.startswith("principal mode is not strictly positive: lowest mode is odd")
+    assert f"even block {float(even_val)!r}" in msg
 
 
 def test_boundary_distance_used_by_profiles(grid128):

@@ -76,7 +76,8 @@ def test_default_schedule_two_levels(system128, params_s04q2, w128):
     trace = []
     u, rep = solve_singular_semilinear(system128, params_s04q2, trace=trace)
     assert [t["eps"] for t in trace] == [0.1, 1e-9, 0.0]
-    np.testing.assert_array_equal(u, w128)
+    # w128 is solved on the even block: the same field to rounding
+    assert np.abs(u - w128).max() <= 1e-13 * np.abs(u).max()
     dense, drep = solve_singular_semilinear(
         system128, params_s04q2, schedule=[0.1 * 4.0 ** (-k) for k in range(15)]
     )
@@ -99,11 +100,71 @@ def test_pure_singular_converges(s, q, n):
     assert rep.residual <= RESIDUAL_TOL
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.15, 0.49),
+    q=st.floats(0.1, 5.0),
+    n=st.sampled_from([15, 16, 31, 64]),
+    a=st.floats(-3.0, 3.0),
+    width=st.floats(0.5, 4.0),
+)
+@example(s=0.4, q=2.0, n=15, a=-1.0, width=2.0)
+def test_even_block_w_matches_full_space(s, q, n, a, width):
+    """w solved on the even block and lifted is the full-space solution to rounding"""
+    system = assemble(build_grid(a, a + width, n), s)
+    params = ProblemParams(s=s, q=q)
+    w, rep = solve_pure_singular(system, params)
+    half, full = [], []
+    solve_singular_semilinear(system.even, params, trace=half)
+    u, _ = solve_singular_semilinear(system, params, trace=full)
+    assert np.array_equal(w, w[::-1])
+    assert rep.converged and rep.residual <= RESIDUAL_TOL
+    assert weak_residual(system, params, w) == rep.residual
+    assert np.abs(w - u).max() <= 1e-13 * np.abs(u).max()
+    assert rep.iterations == sum(t["newton_iterations"] for t in half)
+    # The head stage walks down from eps^-q by step halving, a path that
+    # rounding can shift by a few steps (up to 5 in 400 random draws).  From
+    # its limit on, the step test sees |v| ~ |u|/sqrt(2): one step apart at most.
+    for h, f in zip(half[1:], full[1:]):
+        assert abs(h["newton_iterations"] - f["newton_iterations"]) <= 1
+
+
+def test_newton_evaluates_each_defect_once(monkeypatch):
+    """the accepted trial's defect seeds the next step: evaluations = 1 + line-search trials"""
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    params = ProblemParams(s=0.4, q=2.0)
+    u0 = fraclab.operator.solve_dirichlet(system, 0.1 ** -2.0)
+    fields, iterates = [], []
+    real_defect = fraclab.solver.defect
+    real_jacobian = fraclab.solver.jacobian
+
+    def recording_defect(system, params, u, g=0.0, eps=0.0):
+        fields.append(u.copy())
+        return real_defect(system, params, u, g, eps)
+
+    def recording_jacobian(system, params, u, eps=0.0):
+        iterates.append(u.copy())
+        return real_jacobian(system, params, u, eps)
+
+    monkeypatch.setattr(fraclab.solver, "defect", recording_defect)
+    monkeypatch.setattr(fraclab.solver, "jacobian", recording_jacobian)
+    u, its = newton(system, params, u0, 0.0, 0.1)
+    assert its == len(iterates) >= 5
+    accepted = iterates[1:] + [u]
+    # a rejected trial is a field that never became an iterate
+    rejected = [f for f in fields[1:] if not any(np.array_equal(f, v) for v in accepted)]
+    assert np.array_equal(fields[0], u0)
+    assert len(fields) == 1 + len(accepted) + len(rejected)
+    for v in accepted:
+        assert sum(np.array_equal(f, v) for f in fields) == 1
+
+
 def test_newton_returns_converged_start():
     """at rounding-level defect no step lowers it: Newton returns the iterate"""
     system = assemble(build_grid(-1.0, 1.0, 16), 0.3)
     params = ProblemParams(s=0.3, q=1.0)
-    w, rep = solve_pure_singular(system, params)
+    # converged in the full space (the even-block w is converged in its own)
+    w, rep = solve_singular_semilinear(system, params)
     assert rep.converged
     u, its = newton(system, params, w)
     assert its == 0

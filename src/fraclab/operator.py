@@ -258,15 +258,23 @@ class DiscreteSystem:
         middle node's column a single 1.  A field u = P v solves a problem of
         this system exactly when v solves it on the block, because the
         nonlinearity acts node by node; ``lift`` maps v back to u.  The split
-        needs A to equal its reflection; a block does not, so it has no split.
+        needs A to equal its reflection.  A block has no split, even a 1 x 1
+        one that equals its reflection, so asking a block raises too.
         """
         def block():
+            if self.is_block:
+                raise ParameterError("a parity block has no parity split")
             if not np.array_equal(self.stiffness, self.stiffness[::-1, ::-1]):
                 raise ParameterError("stiffness is not reflection-symmetric: no parity split")
             a, m = _parity_block(self, 1.0)
             return DiscreteSystem(grid=self.grid, s=self.s, stiffness=a, massw=m)
 
         return self.memo("even", block)
+
+    @property
+    def is_block(self) -> bool:
+        """True for a parity block: it has fewer nodes than its grid (N >= 2)."""
+        return self.massw.shape[0] < self.grid.n
 
     def lift(self, v: Field) -> Field:
         """The field of this system whose left half is the even-block field ``v``."""
@@ -277,11 +285,15 @@ class DiscreteSystem:
     def torsion(self) -> Field:
         """Read-only solution of the linear problem with unit source.
 
-        It is even, so it is solved on the even block and mirrored back.
+        It is even, so it is solved on the even block and mirrored back; a
+        block, which has no split, solves it directly.
         """
-        return self.memo(
-            "torsion", lambda: read_only(self.lift(solve_dirichlet(self.even, 1.0)))
-        )
+        def solve():
+            if self.is_block:
+                return read_only(solve_dirichlet(self, 1.0))
+            return read_only(self.lift(self.even.torsion))
+
+        return self.memo("torsion", solve)
 
 
 def _parity_block(system: DiscreteSystem, sign: float) -> tuple:

@@ -1,12 +1,13 @@
 """Solvers for the singular semilinear problem and the minimal branch.
 
-The core routine solves A u = massw * ((u + eps)^{-q} + g) from a cold start
-down a decreasing regularization schedule ending at eps = 0, with a damped
-Newton method at each stage.  The Jacobian A + diag(q massw (u+eps)^{-q-1})
-is symmetric positive definite, so each stage factorizes with Cholesky and
-its Newton step descends the residual; the solve therefore needs only two
-levels, 0.1 and 1e-9, before eps = 0.  The same Newton factorizes with LU
-when the critical term is present (mountain-pass polish).
+The core routine solves A u = massw (u^{-q} + g) by one damped Newton on
+the unregularized equation.  Its Jacobian A + diag(q massw u^{-q-1}) is
+symmetric positive definite on the whole positive cone, so each step
+factorizes with Cholesky and descends the residual, and no regularization
+ladder is needed: the cold start is the torsion field reshaped to w's
+boundary growth and scaled so that its peak is consistent, plus the linear
+solution with source g.  The same Newton factorizes with LU when the
+critical term is present (mountain-pass polish).
 
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
@@ -76,15 +77,6 @@ MONOTONE_TOL = 1e-9
 DIVERGENCE_SUP = 1e6
 
 
-def default_schedule() -> list:
-    """Regularization levels 0.1 and 1e-9; the tail is 1e-8 of the head.
-
-    The Jacobian is SPD for eps > 0, so the damped Newton step always
-    descends the residual: a finer ladder adds stages, not robustness.
-    """
-    return [0.1, 1e-9]
-
-
 def weak_residual(system: DiscreteSystem, params: ProblemParams, u: Field) -> float:
     """Sup-norm of the nodal defect A u - massw (u^{-q} + lam u^{crit-1})."""
     return float(np.abs(defect(system, params, np.asarray(u, dtype=float))).max())
@@ -138,23 +130,22 @@ def newton(system, params, u, g=0.0, eps=0.0):
     raise ConvergenceError(f"no convergence within {NEWTON_MAX_ITER} Newton steps")
 
 
-def solve_singular_semilinear(
-    system: DiscreteSystem,
-    params: ProblemParams,
-    g=0.0,
-    schedule=None,
-    trace: list | None = None,
-):
-    """Solve A u = massw (u^{-q} + g) by eps continuation from a cold start.
+def solve_singular_semilinear(system: DiscreteSystem, params: ProblemParams, g=0.0):
+    """Solve A u = massw (u^{-q} + g) by one damped Newton from a cold start.
 
     ``g`` is a frozen nonnegative source (scalar or nodal vector; a wrong
     shape or a non-finite entry raises ParameterError); lam in ``params``
-    plays no part in the equation.  The start iterate is the linear solve
-    with source eps^{-q} + g at the head of ``schedule`` (the default
-    schedule unless one is given), whose last level must be at most 1e-8 of
-    the first; damped Newton then runs at every level and finally at
-    eps = 0, the unregularized equation.  Each stage appends a dict to
-    ``trace`` when one is supplied.
+    plays no part in the equation.  The Jacobian is SPD on the whole
+    positive cone, so Newton runs on the unregularized equation (eps = 0)
+    from u0 = c max z (z / max z)^p + max(z_g, 0): z is the system's
+    torsion field, z_g the linear solution with source g (none is solved
+    when g = 0; below the M-matrix threshold it can dip below zero).
+    c = (max z)^{-q/(q+1)} makes the start's peak consistent,
+    c = (c max z)^{-q}.  z grows like d^s off the boundary and w like
+    d^{2s/(q+1)} when q > 1, so p = min(1, 2/(q+1)) gives the start w's
+    boundary shape.  A start with the torsion's shape sits far below w at
+    the boundary, where each Newton step raises a node by only about a
+    factor 1 + 1/q.
 
     Returns the positive solution field and a SolveReport on the
     ``auxiliary`` branch (callers of record wrap it under their own label).
@@ -162,43 +153,20 @@ def solve_singular_semilinear(
     g = nodal_source(system, g, "source g")
     if g.min() < 0.0:
         raise ParameterError(f"source g must be nonnegative, min is {g.min():g}")
-    if schedule is None:
-        schedule = default_schedule()
-    schedule = [float(e) for e in schedule]
-    if any(e <= 0.0 for e in schedule):
-        raise ParameterError("schedule levels must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ParameterError("schedule must decrease strictly")
-    if not schedule or schedule[-1] > 1e-8 * schedule[0]:
-        raise ParameterError("cold-start schedule must end at most 1e-8 of its head")
-
-    try:
-        head = schedule[0] ** (-params.q)
-    except OverflowError:
-        raise ConvergenceError(
-            f"cold-start source eps^-q overflows at eps={schedule[0]:g}, q={params.q:g}"
-        ) from None
-    u = solve_dirichlet(system, head + g)
+    z = system.torsion
+    zmax, q = z.max(), params.q
+    # c z reshaped by (z / max z)^{p-1}, a factor of exactly 1 when q <= 1
+    u = zmax ** (-q / (q + 1.0)) * z * (z / zmax) ** (min(1.0, 2.0 / (q + 1.0)) - 1.0)
+    if g.any():
+        u = u + np.maximum(solve_dirichlet(system, g), 0.0)
     base = params.with_lam(0.0)
-    total = 0
-    for eps in schedule + [0.0]:
-        u, its = newton(system, base, u, g, eps)
-        total += its
-        if trace is not None:
-            trace.append(
-                {
-                    "eps": eps,
-                    "newton_iterations": its,
-                    "stage_residual": float(np.abs(defect(system, base, u, g, eps)).max()),
-                    "values": u.copy(),
-                }
-            )
+    u, its = newton(system, base, u, g)
     if u.min() <= 0.0:
         raise ConvergenceError("solver left the positive cone")
     rmax = float(np.abs(defect(system, base, u, g)).max())
     report = SolveReport(
         residual=rmax,
-        iterations=total,
+        iterations=its,
         energy=energy(system, params, u),
         branch="auxiliary",
         converged=rmax <= RESIDUAL_TOL,

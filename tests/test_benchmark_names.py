@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import fraclab
+import fraclab.solver
 from fraclab.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +50,23 @@ def test_hooked_report_fields_exist():
     }
     for cls, names in fields.items():
         assert names <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_pure_singular_goes_through_the_wrapped_solve(monkeypatch):
+    # the span and solver.newton_iters see w only through this call: once per system and q
+    calls = []
+    real = fraclab.solver.solve_singular_semilinear
+
+    def spy(system, params, g=0.0):
+        calls.append((system, params.q))
+        return real(system, params, g)
+
+    monkeypatch.setattr(fraclab.solver, "solve_singular_semilinear", spy)
+    system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 32), 0.4)
+    for q, lam in [(2.0, 0.0), (2.0, 0.05), (3.0, 0.0), (2.0, 0.0)]:
+        _, rep = fraclab.solve_pure_singular(system, fraclab.ProblemParams(s=0.4, q=q, lam=lam))
+        assert rep.converged and rep.iterations > 0
+    assert calls == [(system.even, 2.0), (system.even, 3.0)]
 
 
 def test_trials_hook_reads_evaluations(monkeypatch):

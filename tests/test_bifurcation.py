@@ -274,7 +274,9 @@ def test_extremal_validation(system64, params_s04q2):
         ("rel_tol", lambda sy, p, u: estimate_lambda_star(sy, p, rel_tol=1e-2)),
         ("width_frac", lambda sy, p, u: holder_fit(sy.grid, p, u, width_frac=0.1)),
         ("nu", lambda sy, p, u: mountain_pass_search(sy, p.with_lam(0.02), u, nu=0.2)),
-        ("start", lambda sy, p, u: solve_singular_semilinear(sy, p, schedule=[1e-8], start=u)),
+        ("start", lambda sy, p, u: solve_singular_semilinear(sy, p, start=u)),
+        ("schedule", lambda sy, p, u: solve_singular_semilinear(sy, p, schedule=[0.1, 1e-9])),
+        ("trace", lambda sy, p, u: solve_singular_semilinear(sy, p, trace=[])),
         ("rungs", lambda sy, p, u: extremal_solution(sy, p, 0.05, rungs=8)),
         ("lam_star", lambda sy, p, u: extremal_solution(sy, p)),
         ("cap", lambda sy, p, u: monotone_iteration(sy, p.with_lam(0.02), cap=60)),

@@ -156,6 +156,13 @@ def test_nonconvergence_exit_code(tmp_path):
     assert payload["supersolution"]["valid"] is False
 
 
+@pytest.mark.parametrize("argv", [["pure-singular"], ["lambda-star"], ["solve", "--lambda", "0.01"]])
+def test_smallest_grid_runs(tmp_path, argv):
+    # N = 2: the even block is 1 x 1, which equals its own reflection
+    rc, _ = run(tmp_path, *argv, "--s", "0.3", "--q", "1", "--N", "2")
+    assert rc == 0
+
+
 def test_converged_iterate_does_not_stall(tmp_path):
     # the eps = 0 stage reaches a rounding-level defect that no step can lower
     rc, out = run(tmp_path, "pure-singular", "--s", "0.4", "--q", "0.5", "--N", "16")
@@ -164,9 +171,11 @@ def test_converged_iterate_does_not_stall(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["pure-singular", "regularity"])
-def test_unconverged_singular_solve_exits_convergence(tmp_path, capsys, command):
-    # q = 60: the unregularized Newton stage runs out of steps far from a solution
-    rc, _ = run(tmp_path, command, "--s", "0.25", "--q", "60", "--N", "64")
+def test_unconverged_singular_solve_exits_convergence(tmp_path, monkeypatch, capsys, command):
+    # q = 60, N = 256 takes 5 Newton steps from the boundary-shaped start; with
+    # a budget of 3 the solve runs out of steps, which must exit 3
+    monkeypatch.setattr(fraclab.solver, "NEWTON_MAX_ITER", 3)
+    rc, _ = run(tmp_path, command, "--s", "0.25", "--q", "60", "--N", "256")
     assert rc == 3
     assert "convergence failure" in capsys.readouterr().err
 
@@ -195,8 +204,12 @@ def test_import_defers_scipy_optimize():
 
 
 def test_cold_start_overflow_exits_convergence(tmp_path, capsys):
-    # 0.1^-400 overflows a float in the first continuation stage
-    rc, _ = run(tmp_path, "pure-singular", "--s", "0.4", "--q", "400", "--N", "16")
+    # q = 400 now converges in 4 steps; what still leaves the floating-point
+    # range is the scale: on (0, 1e-300) the cold start's defect is about
+    # 1e-242, its squared norm underflows to 0, no trial can lower it, and the
+    # line search stalls at the first step
+    rc, _ = run(tmp_path, "pure-singular", "--s", "0.1", "--q", "60", "--N", "16",
+                "--a", "0", "--b", "1e-300")
     assert rc == 3
     assert "convergence failure" in capsys.readouterr().err
 

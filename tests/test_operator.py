@@ -352,9 +352,15 @@ def test_parity_blocks_are_projections(n):
     assert even.massw.shape == ((n + 1) // 2,) and not even.stiffness.flags.writeable
     v = np.arange(1.0, even.massw.shape[0] + 1.0)
     assert np.array_equal(system.lift(v), parity_lift(n, 1.0) @ v)
-    if n > 2:  # a 1 x 1 block is its own reflection
-        with pytest.raises(ParameterError, match="no parity split"):
-            even.even
+    assert even.is_block and not system.is_block
+    # a 1 x 1 block equals its reflection, yet it has no split either
+    with pytest.raises(ParameterError, match="no parity split"):
+        even.even
+    # the torsion field is the lifted block torsion, which the block solves directly
+    full = solve_dirichlet(system, 1.0)
+    assert np.array_equal(even.torsion, solve_dirichlet(even, 1.0))
+    assert np.array_equal(system.torsion, system.lift(even.torsion))
+    assert np.abs(system.torsion - full).max() <= 1e-13 * np.abs(full).max()
 
 
 @settings(max_examples=30, deadline=None)

@@ -96,12 +96,18 @@ def newton(system, params, u, g=0.0, eps=0.0):
     sits at rounding level and no step can lower it), and when an
     unregularized solve (eps = 0) takes NEWTON_MAX_ITER steps; a regularized
     level only seeds the next one, so there the last iterate is returned.
+    A non-finite defect or step (an overflowed source, say) raises
+    ConvergenceError too.
     """
     spd = params.lam == 0.0
     r = defect(system, params, u, g, eps)
     for it in range(NEWTON_MAX_ITER):
+        if not np.isfinite(r).all():
+            raise ConvergenceError(f"non-finite defect at eps={eps:g} after {it} Newton steps")
         J = jacobian(system, params, u, eps)
         du = cho_solve(cho_factor(J), -r) if spd else lu_solve(lu_factor(J), -r)
+        if not np.isfinite(du).all():
+            raise ConvergenceError(f"non-finite step at eps={eps:g} after {it} Newton steps")
         t = 1.0
         # a norm can overflow to inf: a trial near the floor is then rejected
         # like any other that does not descend, and under a huge lam the
@@ -331,8 +337,9 @@ def monotone_iteration(
     bounded, is the minimal solution.  ``bound`` may carry a validated
     supersolution, in which case every iterate is checked against it.  The
     iteration has settled when a step changes no node by more than
-    MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP) or running
-    MONOTONE_CAP steps returns converged=False.
+    MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP, or a source
+    lam u^{crit-1} that overflows) or running MONOTONE_CAP steps returns
+    converged=False.
     """
     if params.lam < 0.0:
         raise ParameterError("lam must be nonnegative")
@@ -346,7 +353,12 @@ def monotone_iteration(
     status = "cap"
     k = 0
     for k in range(1, MONOTONE_CAP + 1):
-        g = params.lam * u ** (ts - 1.0)
+        with np.errstate(over="ignore"):
+            g = params.lam * u ** (ts - 1.0)
+        if not np.isfinite(g).all():
+            # the source overflowed: the sup norm is past any useful bound
+            status = "diverged"
+            break
         try:
             unew, _ = newton(system, frozen, u, g)
         except ConvergenceError:

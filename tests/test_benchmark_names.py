@@ -13,6 +13,7 @@ import pytest
 
 import fraclab
 import fraclab.solver
+import fraclab.variational
 from fraclab.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -97,6 +98,24 @@ def test_scan_hook_reads_attempts(monkeypatch, system128):
         on_return(counts, (system128, params), res)
     assert counts["solver.rungs_tried"] == valid.attempts + invalid.attempts
     assert counts["solver.valid_scans"] == 1
+
+
+def test_failed_search_reports_its_sweeps(monkeypatch):
+    # a failed mountain-pass search reports its sweep count only in the
+    # message, which variational.mp_sweeps parses
+    layers = load_layers(monkeypatch)
+    monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 3)
+    system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 32), 0.4)
+    params = fraclab.ProblemParams(s=0.4, q=2.0, lam=0.02)
+    u, rep = fraclab.monotone_iteration(system, params)
+    assert rep.converged
+    with pytest.raises(fraclab.ConvergenceError) as exc:
+        fraclab.mountain_pass_search(system, params, u)
+    assert layers._SWEEPS.search(str(exc.value)).group(1) == "3"
+    counts = Counter()
+    _, on_error = layers.HOOKS["variational.mountain_pass_search"]
+    on_error(counts, exc.value)
+    assert counts["variational.mp_sweeps"] == 3
 
 
 @pytest.mark.parametrize("workload", ["extremal", "continuation", "second-branch"])

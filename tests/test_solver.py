@@ -226,6 +226,22 @@ def test_newton_returns_converged_start():
     np.testing.assert_array_equal(u, w)
 
 
+def test_newton_types_non_finite_defect_and_step(monkeypatch):
+    """an overflowed source or an exactly singular LU raises ConvergenceError, not ValueError"""
+    system = assemble(build_grid(-1.0, 1.0, 16), 0.4)
+    params = ProblemParams(s=0.4, q=2.0)
+    w, _ = solve_singular_semilinear(system, params)
+    g = np.zeros(16)
+    g[3] = np.inf
+    with pytest.raises(ConvergenceError, match="non-finite defect"):
+        newton(system, params, w, g)
+    monkeypatch.setattr(fraclab.solver, "jacobian", lambda *args: np.zeros((16, 16)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lu_factor's singular-matrix warning
+        with pytest.raises(ConvergenceError, match="non-finite step"):
+            newton(system, params.with_lam(0.01), w)
+
+
 def test_steep_singularity_stays_silent():
     """trials whose defect norm overflows are rejected without numeric warnings"""
     system = assemble(build_grid(-1.0, 1.0, 16), 0.3)

@@ -24,7 +24,6 @@ from .errors import ConvergenceError, ParameterError
 from .grid import Grid, boundary_distance
 from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair
 from .solver import (
-    RESIDUAL_TOL,
     ladder_thresholds,
     monotone_iteration,
     scan_supersolution,
@@ -184,8 +183,9 @@ def extremal_solution(
     solutions are nondecreasing nodewise.  The returned field is the deepest
     convergent rung's solution (w when none converges) and its report is
     measured at that rung's lam, where the field solves the problem.
-    converged=True needs every rung to converge and that residual to be at
-    most RESIDUAL_TOL; ``iterations`` holds the deepest convergent rung.
+    converged=True needs every rung to converge, so the last rung's report
+    has already passed ``solver.measure``'s gate; ``iterations`` holds the
+    deepest convergent rung.
     """
     if lam_star <= 0.0:
         raise ParameterError("lam_star must be positive")
@@ -209,8 +209,7 @@ def extremal_solution(
             break
         u, last = u_new, rep
         done = m
-    converged = done == EXTREMAL_RUNGS and last.residual <= RESIDUAL_TOL
-    return u, replace(last, iterations=done, branch="extremal", converged=converged)
+    return u, replace(last, iterations=done, branch="extremal", converged=done == EXTREMAL_RUNGS)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
 its report is measured on the full system.  Solves with a source g, the
 monotone steps and everything built on them stay in the full space.
+
+Every report of a computed field is built by ``measure``, so its verdict
+``converged`` is decided there and nowhere else.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .operator import (
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome summary attached to every computed field."""
+    """Outcome summary attached to every computed field; built by ``measure``."""
 
     residual: float
     iterations: int
@@ -77,9 +80,26 @@ MONOTONE_TOL = 1e-9
 DIVERGENCE_SUP = 1e6
 
 
-def weak_residual(system: DiscreteSystem, params: ProblemParams, u: Field) -> float:
-    """Sup-norm of the nodal defect A u - massw (u^{-q} + lam u^{crit-1})."""
-    return float(np.abs(defect(system, params, np.asarray(u, dtype=float))).max())
+def weak_residual(system: DiscreteSystem, params: ProblemParams, u: Field, g=0.0) -> float:
+    """Sup-norm of the nodal defect A u - massw (u^{-q} + g + lam u^{crit-1})."""
+    return float(np.abs(defect(system, params, np.asarray(u, dtype=float), g)).max())
+
+
+def measure(system, params, u, iterations, branch, g=0.0, settled=True) -> SolveReport:
+    """The report of a field u computed for A u = massw (u^{-q} + g + lam u^{crit-1}).
+
+    The residual is ``weak_residual`` and the energy ``operator.energy``
+    (the source g does not enter it), both at ``params``.  converged is set
+    when the solver ``settled`` and the residual is at most RESIDUAL_TOL.
+    """
+    res = weak_residual(system, params, u, g)
+    return SolveReport(
+        residual=res,
+        iterations=iterations,
+        energy=energy(system, params, u),
+        branch=branch,
+        converged=settled and res <= RESIDUAL_TOL,
+    )
 
 
 def newton(system, params, u, g=0.0, eps=0.0):
@@ -153,8 +173,9 @@ def solve_singular_semilinear(system: DiscreteSystem, params: ProblemParams, g=0
     the boundary, where each Newton step raises a node by only about a
     factor 1 + 1/q.
 
-    Returns the positive solution field and a SolveReport on the
-    ``auxiliary`` branch (callers of record wrap it under their own label).
+    Returns the positive solution field and its ``measure`` on the
+    ``auxiliary`` branch at lam = 0 and source g (callers of record wrap
+    it under their own label).
     """
     g = nodal_source(system, g, "source g")
     if g.min() < 0.0:
@@ -169,15 +190,7 @@ def solve_singular_semilinear(system: DiscreteSystem, params: ProblemParams, g=0
     u, its = newton(system, base, u, g)
     if u.min() <= 0.0:
         raise ConvergenceError("solver left the positive cone")
-    rmax = float(np.abs(defect(system, base, u, g)).max())
-    report = SolveReport(
-        residual=rmax,
-        iterations=its,
-        energy=energy(system, params, u),
-        branch="auxiliary",
-        converged=rmax <= RESIDUAL_TOL,
-    )
-    return u, report
+    return u, measure(system, base, u, its, "auxiliary", g)
 
 
 def solve_pure_singular(system: DiscreteSystem, params: ProblemParams):
@@ -193,14 +206,7 @@ def solve_pure_singular(system: DiscreteSystem, params: ProblemParams):
         base = params.with_lam(0.0)
         v, rep = solve_singular_semilinear(system.even, base, 0.0)
         u = read_only(system.lift(v))
-        rmax = weak_residual(system, base, u)
-        return u, SolveReport(
-            residual=rmax,
-            iterations=rep.iterations,
-            energy=energy(system, base, u),
-            branch="pure-singular",
-            converged=rmax <= RESIDUAL_TOL,
-        )
+        return u, measure(system, base, u, rep.iterations, "pure-singular")
 
     return system.memo(("pure-singular", params.q), solve)
 
@@ -337,9 +343,12 @@ def monotone_iteration(
     bounded, is the minimal solution.  ``bound`` may carry a validated
     supersolution, in which case every iterate is checked against it.  The
     iteration has settled when a step changes no node by more than
-    MONOTONE_TOL.  Divergence (sup norm beyond DIVERGENCE_SUP, or a source
-    lam u^{crit-1} that overflows) or running MONOTONE_CAP steps returns
-    converged=False.
+    MONOTONE_TOL; its report is then ``measure``d at ``params``, so
+    converged also needs the residual at most RESIDUAL_TOL.  Running
+    MONOTONE_CAP steps is measured too but never converged.  Divergence
+    (sup norm beyond DIVERGENCE_SUP, or a source lam u^{crit-1} that
+    overflows), an inner failure or an escaped bound report residual and
+    energy inf.
     """
     if params.lam < 0.0:
         raise ParameterError("lam must be nonnegative")
@@ -388,21 +397,11 @@ def monotone_iteration(
         if np.abs(inc).max() <= MONOTONE_TOL:
             status = "converged"
             break
-    converged = status == "converged"
-    if converged or status == "cap":
-        res = weak_residual(system, params, u)
-        en = energy(system, params, u)
-    else:
-        res = np.inf
-        en = np.inf
-    report = SolveReport(
-        residual=res,
-        iterations=k,
-        energy=en,
-        branch="minimal",
-        converged=converged,
+    if status in ("converged", "cap"):
+        return u, measure(system, params, u, k, "minimal", settled=status == "converged")
+    return u, SolveReport(
+        residual=np.inf, iterations=k, energy=np.inf, branch="minimal", converged=False
     )
-    return u, report
 
 
 @dataclass(frozen=True)
@@ -445,8 +444,8 @@ def comparison_check(
     if u1.min() <= 0.0 or u2.min() <= 0.0:
         raise ParameterError("fields must be strictly positive")
     base = params.with_lam(0.0)
-    res1 = float(np.abs(defect(system, base, u1, g1)).max())
-    res2 = float(np.abs(defect(system, base, u2, g2)).max())
+    res1 = weak_residual(system, base, u1, g1)
+    res2 = weak_residual(system, base, u2, g2)
     gap = float((u2 - u1).min())
     return ComparisonReport(
         ordered=gap >= -ORDER_SLACK,

@@ -32,14 +32,15 @@ from .operator import (
     kernel_constant,
     principal_eigenpair,
 )
-from .solver import RESIDUAL_TOL, SolveReport, newton
+from .solver import measure, newton
 
 # Path deformation in mountain_pass_search: samples along the path, sweep
 # budget, sweeps between Newton polishes, the relative A-distance from the
 # minimal solution below which a critical point counts as the same one, and
-# the concentration scale of the bubble direction.  Every sweep is taken,
-# so a band that never reaches a distinct point spends the whole budget;
-# successful searches at N = 256 take at most about 120 sweeps.
+# the concentration scale of the bubble direction.  Every sweep is taken
+# until the band's maximum falls onto the minimal solution; a band that
+# never gets there nor reaches a distinct point spends the whole budget.
+# Successful searches at N = 256 take at most about 120 sweeps.
 MP_SAMPLES = 33
 MP_MAX_SWEEPS = 200
 MP_NEWTON_EVERY = 10
@@ -53,20 +54,17 @@ SOBOLEV_MAX_ITER = 2000
 GAP_EPS_LADDER = (0.08, 0.04, 0.02)
 
 
-def problem_gradient(system: DiscreteSystem, params: ProblemParams, u: Field) -> Field:
-    """Nodal gradient A u - massw (u^{-q} + lam u^{crit-1})."""
-    u = np.asarray(u, dtype=float)
-    if u.min() <= 0.0:
-        raise ParameterError("gradient needs a strictly positive field")
-    return defect(system, params, u)
-
-
 def gateaux_derivative(
     system: DiscreteSystem, params: ProblemParams, u: Field, phi: Field
 ) -> float:
-    """Directional derivative of the functional at u in direction phi."""
-    phi = np.asarray(phi, dtype=float)
-    return float(problem_gradient(system, params, u) @ phi)
+    """Directional derivative of the functional at u in direction phi.
+
+    The gradient is the nodal defect A u - massw (u^{-q} + lam u^{crit-1}).
+    """
+    u = np.asarray(u, dtype=float)
+    if u.min() <= 0.0:
+        raise ParameterError("gradient needs a strictly positive field")
+    return float(defect(system, params, u) @ np.asarray(phi, dtype=float))
 
 
 def critical_quotient(system: DiscreteSystem, u: Field) -> float:
@@ -325,7 +323,7 @@ def _polish_critical_point(system, params, v0, floor, floor_level):
         v, _ = newton(system, params, v0)
     except (ConvergenceError, np.linalg.LinAlgError):
         return None
-    if not np.linalg.norm(problem_gradient(system, params, v)) < 1e-12:
+    if not np.linalg.norm(defect(system, params, v)) < 1e-12:
         return None
     floor_norm = math.sqrt(max(floor @ (A @ floor), 1e-300))
     diff = v - floor
@@ -359,9 +357,10 @@ def mountain_pass_search(
     at the lowest level of the band.  Each sweep appends one record (stage
     ``deform``) to ``trace`` when one is supplied.
 
-    Returns the second solution and a report on the ``mountain-pass``
-    branch.  Raises ConvergenceError when MP_MAX_SWEEPS sweeps locate no
-    such point.
+    Returns the second solution and its ``measure`` on the ``mountain-pass``
+    branch.  Raises ConvergenceError when the band's maximum falls onto the
+    minimal solution (no barrier is left to cross) and when MP_MAX_SWEEPS
+    sweeps locate no such point.
     """
     if params.lam <= 0.0:
         raise ParameterError("a second solution needs lam > 0")
@@ -412,7 +411,7 @@ def mountain_pass_search(
         for j in range(1, MP_SAMPLES - 1):
             u = path[j]
             # d = A^{-1} g, so A d = g: the tangent's A-product is the only one
-            g = problem_gradient(system, params, u)
+            g = defect(system, params, u)
             d = system.solve(g)
             Ad = g
             tau = path[j + 1] - path[j - 1]
@@ -434,7 +433,7 @@ def mountain_pass_search(
         levels = np.array([level(p) for p in path])
         jmax = int(np.argmax(levels))
         if trace is not None:
-            pg = anorm(system.solve(problem_gradient(system, params, path[jmax])))
+            pg = anorm(system.solve(defect(system, params, path[jmax])))
             distinct = anorm(path[jmax] - first) / max(anorm(first), 1e-30) > MP_DISTINCT_TOL
             trace.append(
                 {
@@ -446,6 +445,12 @@ def mountain_pass_search(
                     "distinct": bool(distinct),
                 }
             )
+        if jmax == 0:
+            # the endpoint is fixed and every interior sample lies below
+            # I(first): no barrier is left, and each polish returns to first
+            raise ConvergenceError(
+                f"band maximum fell onto the minimal solution after {sweep + 1} sweeps"
+            )
         if (sweep + 1) % MP_NEWTON_EVERY == 0:
             found = _polish_critical_point(system, params, path[jmax], first, base_level)
             if found is not None:
@@ -455,12 +460,4 @@ def mountain_pass_search(
             f"no distinct critical point located within {MP_MAX_SWEEPS} sweeps; "
             f"last level {float(levels.max())!r}"
         )
-    res = float(np.abs(problem_gradient(system, params, found)).max())
-    report = SolveReport(
-        residual=res,
-        iterations=sweep + 1,
-        energy=level(found),
-        branch="mountain-pass",
-        converged=res <= RESIDUAL_TOL,
-    )
-    return found, report
+    return found, measure(system, params, found, sweep + 1, "mountain-pass")

@@ -118,6 +118,32 @@ def test_failed_search_reports_its_sweeps(monkeypatch):
     assert counts["variational.mp_sweeps"] == 3
 
 
+def test_band_on_the_minimal_solution_stops(monkeypatch):
+    # the band's maximum falls onto the fixed minimal endpoint after 119
+    # sweeps; the search stops there instead of spending its whole budget
+    layers = load_layers(monkeypatch)
+    system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 128), 0.35)
+    params = fraclab.ProblemParams(s=0.35, q=0.5, lam=0.016766)
+    sup = fraclab.scan_supersolution(system, params)
+    u, rep = fraclab.monotone_iteration(system, params, bound=sup.values)
+    assert sup.valid and rep.converged
+    with pytest.raises(fraclab.ConvergenceError, match="fell onto the minimal solution") as exc:
+        fraclab.mountain_pass_search(system, params, u)
+    sweeps = int(layers._SWEEPS.search(str(exc.value)).group(1))
+    assert sweeps <= 130
+    counts = Counter()
+    _, on_error = layers.HOOKS["variational.mountain_pass_search"]
+    on_error(counts, exc.value)
+    assert counts["variational.mp_sweeps"] == sweeps
+
+
+def test_checks_judge_the_solver_constants(monkeypatch):
+    # the benchmark's output checks keep their own copies of the gate
+    checks = load_perfbench(monkeypatch, "checks")
+    assert checks.RESIDUAL_TOL == fraclab.solver.RESIDUAL_TOL
+    assert checks.ORDER_SLACK == fraclab.solver.ORDER_SLACK
+
+
 @pytest.mark.parametrize("workload", ["extremal", "continuation", "second-branch"])
 def test_warmups_succeed(monkeypatch, tmp_path, workload):
     # setup_s times the warm-ups: a failing one would time an early exit

@@ -17,10 +17,13 @@ from fraclab import (
     build_supersolution,
     comparison_check,
     default_multiplier_ladder,
+    energy,
     envelope_check,
     estimate_lambda_star,
+    extremal_solution,
     lambda_certificate,
     monotone_iteration,
+    mountain_pass_search,
     principal_eigenpair,
     scan_supersolution,
     solve_pure_singular,
@@ -28,7 +31,7 @@ from fraclab import (
     SupersolutionResult,
     weak_residual,
 )
-from fraclab.solver import ORDER_SLACK, POSITIVITY_FLOOR, RESIDUAL_TOL, newton
+from fraclab.solver import ORDER_SLACK, POSITIVITY_FLOOR, RESIDUAL_TOL, ladder_thresholds, newton
 
 
 def ladder_solve(system, params, g=0.0, head=0.1, levels=15):
@@ -68,6 +71,60 @@ def test_converged_flag_tracks_residual(system128, params_s04q2):
     _, report = solve_pure_singular(system128, params_s04q2)
     assert report.converged == (report.residual <= RESIDUAL_TOL)
     assert POSITIVITY_FLOOR > 0.0
+
+
+def test_the_gate_lives_in_solver(monkeypatch):
+    """every branch's verdict reads solver.RESIDUAL_TOL, so tightening it fails them all"""
+    monkeypatch.setattr(fraclab.solver, "RESIDUAL_TOL", 1e-300)
+    # a fresh system: w and its report are memoized per system
+    system = assemble(build_grid(-1.0, 1.0, 32), 0.4)
+    params = ProblemParams(s=0.4, q=2.0)
+    lam = 0.5 * estimate_lambda_star(system, params).estimate
+    _, wrep = solve_pure_singular(system, params)
+    u, mrep = monotone_iteration(system, params.with_lam(lam))
+    _, erep = extremal_solution(system, params, 2.0 * lam)
+    _, vrep = mountain_pass_search(system, params.with_lam(lam), u)
+    for rep in (wrep, mrep, erep, vrep):
+        assert 0.0 < rep.residual < 1e-8
+        assert not rep.converged, rep.branch
+
+
+def _assert_measured(rep, system, params, u, g=0.0):
+    """the report is its field's measure at the params and source it solves"""
+    if not np.isfinite(rep.residual):
+        return
+    assert rep.residual == weak_residual(system, params, u, g)
+    assert rep.energy == energy(system, params, u)
+    assert not rep.converged or rep.residual <= RESIDUAL_TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    s=st.floats(0.25, 0.49),
+    q=st.floats(0.3, 4.0),
+    f=st.floats(0.1, 0.9),
+    n=st.integers(8, 64),
+    g_scale=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_every_report_is_measured(s, q, f, n, g_scale, seed):
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    params = ProblemParams(s=s, q=q)
+    base = params.with_lam(0.0)
+    w, wrep = solve_pure_singular(system, params)
+    _assert_measured(wrep, system, base, w)
+    g = g_scale * np.random.default_rng(seed).random(n)
+    z, zrep = solve_singular_semilinear(system, params, g)
+    _assert_measured(zrep, system, base, z, g)
+    p = params.with_lam(f * ladder_thresholds(system, params)[1])
+    u, mrep = monotone_iteration(system, p)
+    _assert_measured(mrep, system, p, u)
+    if mrep.converged:
+        try:
+            v, vrep = mountain_pass_search(system, p, u)
+        except ConvergenceError:
+            return
+        _assert_measured(vrep, system, p, v)
 
 
 def test_weak_residual_detects_perturbation(system128, params_s04q2, w128):

@@ -31,6 +31,8 @@ from .grid import build_grid
 from .operator import (
     ProblemParams,
     assemble,
+    is_positive_definite,
+    jacobian,
     kernel_constant,
     m_matrix_threshold,
     principal_eigenpair,
@@ -452,8 +454,9 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
     check("bubble-structure", support_ok and core_ok,
           f"sobolev={sob:.6g} core={bub.values[center_idx]:.6g}")
 
-    # the minimal solution's residual is the sup norm of the functional's gradient
-    check("gradient-at-minimal", mrep.residual <= 1e-7, f"sup_defect={mrep.residual:.3e}")
+    # the minimal solution is a local minimizer: its Jacobian has Morse index 0
+    morse0 = mrep.converged and is_positive_definite(jacobian(system, p_lam, u_min))
+    check("morse-at-minimal", morse0, f"index={'0' if morse0 else '>0'}")
 
     status = "PASS" if ok_all else "FAIL"
     lines.append(f"RESULT {status} ({len(lines)} checks, seed={cfg.seed})")

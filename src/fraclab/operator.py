@@ -14,13 +14,18 @@ the operator's symbol is |xi|^{2s}.
 The assembled ``DiscreteSystem`` owns every quantity that depends on it
 alone (see its docstring): each is computed once, on first use, and kept
 read-only for the life of the system.  The energy functional lives here
-beside its gradient ``defect`` and its Hessian ``jacobian``.
+beside its gradient ``defect`` and its Hessian ``jacobian``; ``energy`` and
+``defect`` also take an (m, n) stack of fields, one per row, so a whole
+elastic band is evaluated in one call.  ``is_positive_definite`` reads the
+inertia of a symmetric matrix from one Cholesky attempt.
 
 The grid is uniform, so the Toeplitz stiffness commutes with the reflection
 i -> N-1-i and the system splits into an even and an odd block of about half
 the size.  ``DiscreteSystem.even`` owns that split: the torsion field is
-solved on the even block and mirrored back, and ``principal_eigenpair`` runs
-on both blocks.  Each block is formed from slices of the stiffness in O(N^2).
+solved on the even block and mirrored back, ``principal_eigenpair`` takes
+its mode from the even block and tests the odd one by a Cholesky, and the
+mountain-pass band runs on the even block.  Each block is formed from
+slices of the stiffness in O(N^2).
 """
 
 from __future__ import annotations
@@ -107,17 +112,30 @@ class ProblemParams:
         return ProblemParams(s=self.s, q=self.q, lam=lam)
 
 
+def row_products(matrix: np.ndarray, u: Field) -> Field:
+    """``matrix @ u`` for a field, or for each row of an (m, n) stack of fields.
+
+    numpy runs one matrix-vector product per row, so every row equals the
+    product of that row alone bit for bit.  One matrix-matrix product would
+    be a level-3 BLAS call, which multi-threaded BLAS splits across threads
+    at band sizes and whose hand-off can cost milliseconds.
+    """
+    return (matrix @ u[..., None])[..., 0]
+
+
 def defect(system: "DiscreteSystem", params: ProblemParams, u: Field, g=0.0, eps=0.0) -> Field:
     """Nodal defect A u - massw ((u + eps)^{-q} + g + lam u^{crit-1}).
 
     ``g`` is a frozen source (scalar or nodal vector) and ``eps`` the
     regularization level.  The critical term enters only when lam != 0, so
-    frozen-source solves (lam = 0) never form lam * u^{crit-1}.
+    frozen-source solves (lam = 0) never form lam * u^{crit-1}.  ``u`` may be
+    an (m, n) stack of fields, one per row; the defects come back as rows,
+    each equal to the defect of its row alone.
     """
     src = (u + eps) ** (-params.q) + g
     if params.lam != 0.0:
         src = src + params.lam * u ** (params.crit - 1.0)
-    return system.stiffness @ u - system.massw * src
+    return row_products(system.stiffness, u) - system.massw * src
 
 
 def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field, eps=0.0) -> np.ndarray:
@@ -134,29 +152,31 @@ def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field, eps=0.0)
     return J
 
 
-def energy(system: "DiscreteSystem", params: ProblemParams, u: Field) -> float:
+def energy(system: "DiscreteSystem", params: ProblemParams, u: Field):
     """Value of the functional whose gradient is ``defect`` at a nonnegative field.
 
     I(u) = 1/2 <A u, u> - sum massw P(u) - (lam/crit) sum massw u^crit, with
-    P(u) = u^{1-q}/(1-q) for q != 1 and log u for q = 1.  Returns +inf when a
-    zero node makes the singular term diverge (q >= 1).  Negative fields are
-    outside the domain of the functional and rejected.
+    P(u) = u^{1-q}/(1-q) for q != 1 and log u for q = 1.  The value is +inf
+    when a zero node makes the singular term diverge (q >= 1).  Negative
+    fields are outside the domain of the functional and rejected.  ``u`` may
+    be an (m, n) stack of fields, one per row: the m values come back as an
+    array, each equal to the value of its row alone.
     """
     u = np.asarray(u, dtype=float)
     if u.min() < 0.0:
         raise ParameterError("energy is defined on nonnegative fields")
-    quad = 0.5 * u @ (system.stiffness @ u)
+    mw = system.massw
+    quad = 0.5 * np.vecdot(u, row_products(system.stiffness, u))
     q = params.q
-    if u.min() == 0.0 and q >= 1.0:
-        return math.inf
     with np.errstate(divide="ignore"):
         if q == 1.0:
-            sing = float(np.sum(system.massw * np.log(u)))
+            sing = np.sum(mw * np.log(u), axis=-1)
         else:
-            sing = float(np.sum(system.massw * u ** (1.0 - q)) / (1.0 - q))
+            sing = np.sum(mw * u ** (1.0 - q), axis=-1) / (1.0 - q)
     ts = params.crit
-    critical = params.lam / ts * float(np.sum(system.massw * u ** ts))
-    return float(quad) - sing - critical
+    critical = params.lam / ts * np.sum(mw * u ** ts, axis=-1)
+    value = np.where((u.min(axis=-1) == 0.0) & (q >= 1.0), math.inf, quad - sing - critical)
+    return float(value) if u.ndim == 1 else value
 
 
 def kernel_constant(s: float) -> float:
@@ -220,10 +240,10 @@ class DiscreteSystem:
     """Assembled stiffness matrix and lumped mass weights on a grid.
 
     ``assemble`` marks both arrays read-only, so no cached value can go
-    stale.  The stiffness factor, the even block, the torsion field, the
-    principal eigenpair, the pure singular solution (per q) and the Sobolev
-    constant are computed on first use through ``memo`` and kept for the
-    life of the system; cached arrays are read-only.
+    stale.  The stiffness factor and inverse, the even block, the torsion
+    field, the principal eigenpair, the pure singular solution (per q) and
+    the Sobolev constant are computed on first use through ``memo`` and kept
+    for the life of the system; cached arrays are read-only.
 
     The even block is a system too.  It keeps its parent's grid, so the node
     count of a field is read from ``massw``, never from ``grid``.
@@ -249,6 +269,16 @@ class DiscreteSystem:
     def solve(self, rhs: Field) -> Field:
         """Solution x of A x = rhs, from the cached factor."""
         return cho_solve(self.factor, rhs)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """Read-only inverse of the stiffness matrix, solved from the cached factor.
+
+        A stack of right-hand sides is solved by ``row_products`` with it,
+        one matrix-vector product per row.
+        """
+        n = self.massw.shape[0]
+        return self.memo("inverse", lambda: read_only(self.solve(np.eye(n))))
 
     @property
     def even(self) -> "DiscreteSystem":
@@ -400,7 +430,10 @@ def principal_eigenpair(system: DiscreteSystem) -> SpectralData:
     The pencil splits into the even and the odd block, so the smallest
     eigenvalue of the full pencil is the smaller of the two blocks' lowest.
     An odd mode changes sign: when the odd block holds the lowest eigenvalue
-    the mode is rejected, and the message names both block eigenvalues.
+    the mode is rejected, and the message names both block eigenvalues.  The
+    odd block needs no eigen-solve for that test: its lowest eigenvalue lies
+    above lam1 exactly when A_o - lam1 M_o is positive definite, and it is
+    computed only to name it in the message.
     The eigenvalue is cross-checked against the Rayleigh quotient of the
     returned mode in the full system to 1e-8 relative; a sign-indefinite
     mode is rejected.  Computed once per system; the mode is read-only.
@@ -413,11 +446,25 @@ def _lowest(stiffness: np.ndarray, massw: np.ndarray) -> tuple:
     return float(vals[0]), vecs[:, 0]
 
 
+def is_positive_definite(M: np.ndarray) -> bool:
+    """True when the symmetric matrix M has a Cholesky factor.
+
+    By Sylvester's law of inertia this says whether every eigenvalue of M is
+    positive, at the cost of one factorization and no eigen-solve.
+    """
+    try:
+        cho_factor(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _principal_eigenpair(system: DiscreteSystem) -> SpectralData:
     even = system.even
     lam1, v = _lowest(even.stiffness, even.massw)
-    lam_odd, _ = _lowest(*_parity_block(system, -1.0))
-    if lam_odd < lam1:
+    odd_a, odd_m = _parity_block(system, -1.0)
+    if not is_positive_definite(odd_a - np.diag(lam1 * odd_m)):
+        lam_odd, _ = _lowest(odd_a, odd_m)
         raise ConvergenceError(
             "principal mode is not strictly positive: lowest mode is odd "
             f"(even block {lam1!r}, odd block {lam_odd!r})"

@@ -19,8 +19,9 @@ Newton solves at eps = 0.
 
 w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
-its report is measured on the full system.  Solves with a source g, the
-monotone steps and everything built on them stay in the full space.
+its report is measured on the full system.  Solves with a source g and the
+monotone steps stay in the full space; the mountain-pass search runs on the
+even block too (see ``variational``).
 
 Every report of a computed field is built by ``measure``, so its verdict
 ``converged`` is decided there and nowhere else.
@@ -89,14 +90,17 @@ def measure(system, params, u, iterations, branch, g=0.0, settled=True) -> Solve
     """The report of a field u computed for A u = massw (u^{-q} + g + lam u^{crit-1}).
 
     The residual is ``weak_residual`` and the energy ``operator.energy``
-    (the source g does not enter it), both at ``params``.  converged is set
-    when the solver ``settled`` and the residual is at most RESIDUAL_TOL.
+    less the source's work sum massw g u, so the energy is the functional
+    whose gradient is that residual's defect; both are taken at ``params``.
+    converged is set when the solver ``settled`` and the residual is at most
+    RESIDUAL_TOL.
     """
     res = weak_residual(system, params, u, g)
+    work = float(np.sum(system.massw * g * u)) if np.any(g) else 0.0
     return SolveReport(
         residual=res,
         iterations=iterations,
-        energy=energy(system, params, u),
+        energy=energy(system, params, u) - work,
         branch=branch,
         converged=settled and res <= RESIDUAL_TOL,
     )

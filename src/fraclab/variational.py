@@ -9,8 +9,11 @@ singular nonlinearity: u^{1-q}/(1-q) for q != 1 and log u for q = 1.
 Minimal solutions are local minimizers on the cone above the pure singular
 solution; a second solution appears at a mountain-pass level.  It is
 located here by a climbing elastic band over a path of bubble
-perturbations, whose highest sample seeds a Newton polish.  The discrete
-Sobolev constant is computed once per system and kept on it.
+perturbations, whose highest sample seeds a Newton polish.  The minimal
+solution is even and the bubble centred, so the band and the polish run on
+the system's even block, and the band is held as one array: a sweep moves
+every sample with one stacked defect, one solve and one A-product.  The
+discrete Sobolev constant is computed once per system and kept on it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .operator import (
     energy,
     kernel_constant,
     principal_eigenpair,
+    row_products,
 )
 from .solver import measure, newton
 
@@ -312,23 +316,25 @@ def energy_gap_check(
 def _polish_critical_point(system, params, v0, floor, floor_level):
     """Newton on the unregularized gradient from v0, with acceptance gates.
 
+    v0, the floor and the limit are fields of the even block of ``system``.
     The Jacobian here is indefinite (the critical term pushes down), so
-    ``newton`` factorizes with LU.  The limit is accepted only if its
-    gradient has 2-norm below 1e-12, it stays in the cone above the floor,
-    sits strictly above the floor level, and is A-distant from the floor;
-    otherwise None.
+    ``newton`` factorizes with LU.  The limit is accepted only if the
+    gradient of its lift has 2-norm below 1e-12 in ``system``, it stays in
+    the cone above the floor, sits strictly above the floor level, and is
+    A-distant from the floor; otherwise None.
     """
-    A = system.stiffness
+    block = system.even
+    A = block.stiffness
     try:
-        v, _ = newton(system, params, v0)
+        v, _ = newton(block, params, v0)
     except (ConvergenceError, np.linalg.LinAlgError):
         return None
-    if not np.linalg.norm(defect(system, params, v)) < 1e-12:
+    if not np.linalg.norm(defect(system, params, system.lift(v))) < 1e-12:
         return None
     floor_norm = math.sqrt(max(floor @ (A @ floor), 1e-300))
     diff = v - floor
     dist = math.sqrt(max(diff @ (A @ diff), 0.0)) / floor_norm
-    if dist > MP_DISTINCT_TOL and diff.min() >= -1e-8 and energy(system, params, v) > floor_level:
+    if dist > MP_DISTINCT_TOL and diff.min() >= -1e-8 and energy(block, params, v) > floor_level:
         return v
     return None
 
@@ -350,91 +356,109 @@ def mountain_pass_search(
     of the sample spacing, samples are projected onto the cone above the
     minimal solution, and the path is rebalanced by A-arclength each sweep.
     Every sweep is taken, so the path maximum may rise while the highest
-    sample climbs.  Every MP_NEWTON_EVERY sweeps the highest sample seeds a
-    Newton polish; the first polished point that is distinct from the
-    minimal solution, inside the cone, and above its level is returned.
-    That point is a critical point above the minimal solution, not always
-    at the lowest level of the band.  Each sweep appends one record (stage
-    ``deform``) to ``trace`` when one is supplied.
+    sample climbs.  When the highest sample is the one next to the minimal
+    solution, the pass lies within one spacing of it: the path is cut at
+    the first later sample below the minimal level, which becomes the new
+    far end, and resampled, so the band resolves the pass.  Every
+    MP_NEWTON_EVERY sweeps the highest sample seeds a Newton polish; the
+    first polished point that is distinct from the minimal solution, inside
+    the cone, and above its level is returned.  That point is a critical
+    point above the minimal solution, not always at the lowest level of the
+    band.  Each sweep appends one record (stage ``deform``) to ``trace``
+    when one is supplied.
 
-    Returns the second solution and its ``measure`` on the ``mountain-pass``
-    branch.  Raises ConvergenceError when the band's maximum falls onto the
-    minimal solution (no barrier is left to cross) and when MP_MAX_SWEEPS
-    sweeps locate no such point.
+    The minimal solution is unique, hence even, and the bubble is centred,
+    so the band and the polish run on the system's even block, with the
+    bubble cut to the block's nodes: the path is one (MP_SAMPLES, k) array,
+    and a sweep takes one stacked defect, one solve and one A-product of
+    the tangents for every sample at once.  The block's energies and
+    A-norms are those of the lifted fields, so the trace reads as in the
+    full space.  A base that is not reflection-even to 1e-12 relative
+    raises ParameterError.
+
+    Returns the lifted second solution and its ``measure`` on the
+    ``mountain-pass`` branch in the full system.  Raises ConvergenceError
+    when the band's maximum falls onto the minimal solution (no barrier is
+    left to cross) and when MP_MAX_SWEEPS sweeps locate no such point.
     """
     if params.lam <= 0.0:
         raise ParameterError("a second solution needs lam > 0")
     first = np.asarray(first, dtype=float)
     if first.min() <= 0.0:
         raise ParameterError("the base solution must be strictly positive")
-    A = system.stiffness
-    direction = make_bubble(system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system)).values
-    base_level = energy(system, params, first)
+    if np.abs(first - first[::-1]).max() > 1e-12 * first.max():
+        raise ParameterError("the base solution must be reflection-even")
+    block = system.even
+    A = block.stiffness
+    k = block.massw.shape[0]
+    base = first[:k]
+    bubble = make_bubble(system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system))
+    direction = bubble.values[:k]
+    base_level = energy(block, params, base)
 
-    def anorm(v):
-        return math.sqrt(max(v @ (A @ v), 0.0))
+    def anorms(V):
+        return np.sqrt(np.maximum(np.vecdot(V, row_products(A, V)), 0.0))
 
     def level(u):
-        return energy(system, params, u)
+        return energy(block, params, u)
 
     radius = 0.5
-    while level(first + radius * direction) >= base_level and radius < 1e6:
+    while level(base + radius * direction) >= base_level and radius < 1e6:
         radius *= 2.0
     if radius >= 1e6:
         raise ConvergenceError("could not find a far endpoint below the base level")
 
     tgrid = np.linspace(0.0, 1.0, MP_SAMPLES)
-    path = [first + t * radius * direction for t in tgrid]
-    spacing = anorm(radius * direction) / (MP_SAMPLES - 1)
+    path = base + np.outer(tgrid * radius, direction)
+    spacing = anorms(radius * direction) / (MP_SAMPLES - 1)
 
     def rebalance(p):
-        arc = [0.0]
-        for j in range(1, MP_SAMPLES):
-            arc.append(arc[-1] + anorm(p[j] - p[j - 1]))
-        arc = np.array(arc)
+        # resample any number of rows onto MP_SAMPLES, evenly in A-arclength
+        arc = np.concatenate([[0.0], np.cumsum(anorms(p[1:] - p[:-1]))])
         if arc[-1] <= 0.0:
             return p, 0.0
         rel = arc / arc[-1]
-        out = [p[0]]
-        for tj in tgrid[1:-1]:
-            i = int(np.searchsorted(rel, tj, side="right")) - 1
-            i = min(max(i, 0), MP_SAMPLES - 2)
-            fr = (tj - rel[i]) / max(rel[i + 1] - rel[i], 1e-30)
-            out.append(np.maximum(p[i] * (1.0 - fr) + p[i + 1] * fr, first))
-        out.append(p[-1])
-        return out, arc[-1]
+        t = tgrid[1:-1]
+        i = np.clip(np.searchsorted(rel, t, side="right") - 1, 0, len(p) - 2)
+        fr = ((t - rel[i]) / np.maximum(rel[i + 1] - rel[i], 1e-30))[:, None]
+        mid = np.maximum(p[i] * (1.0 - fr) + p[i + 1] * fr, base)
+        return np.vstack([p[:1], mid, p[-1:]]), arc[-1]
 
-    levels = np.array([level(p) for p in path])
+    levels = level(path)
     jmax = int(np.argmax(levels))
     for sweep in range(MP_MAX_SWEEPS):
-        newpath = [path[0]]
-        for j in range(1, MP_SAMPLES - 1):
-            u = path[j]
-            # d = A^{-1} g, so A d = g: the tangent's A-product is the only one
-            g = defect(system, params, u)
-            d = system.solve(g)
-            Ad = g
-            tau = path[j + 1] - path[j - 1]
-            Atau = A @ tau
-            nt = math.sqrt(max(tau @ Atau, 0.0))
-            if nt > 0.0:
-                comp = (g @ tau) / nt
-                if j == jmax:
-                    comp *= 2.0
-                d = d - (comp / nt) * tau
-                Ad = g - (comp / nt) * Atau
-            nd = math.sqrt(max(d @ Ad, 0.0))
-            cap = 0.25 * spacing
-            step = 1.0 if nd <= cap else cap / nd
-            newpath.append(np.maximum(u - step * d, first))
-        newpath.append(path[-1])
-        path, arclen = rebalance(newpath)
-        spacing = arclen / (MP_SAMPLES - 1)
-        levels = np.array([level(p) for p in path])
+        inner = path[1:-1]
+        # D = A^{-1} G, so A D = G: of the sweep's vectors only the tangents
+        # need an A-product
+        G = defect(block, params, inner)
+        D = row_products(block.inverse, G)
+        tau = path[2:] - path[:-2]
+        Atau = row_products(A, tau)
+        nt = np.sqrt(np.maximum(np.vecdot(tau, Atau), 0.0))
+        # a zero tangent has no component to remove
+        nt = np.where(nt > 0.0, nt, np.inf)
+        coef = np.vecdot(G, tau) / nt / nt
+        if 0 < jmax < MP_SAMPLES - 1:
+            coef[jmax - 1] *= 2.0
+        D = D - coef[:, None] * tau
+        AD = G - coef[:, None] * Atau
+        nd = np.sqrt(np.maximum(np.vecdot(D, AD), 0.0))
+        cap = 0.25 * spacing
+        step = np.where(nd <= cap, 1.0, cap / np.where(nd > 0.0, nd, 1.0))
+        inner = np.maximum(inner - step[:, None] * D, base)
+        path, arclen = rebalance(np.vstack([path[:1], inner, path[-1:]]))
+        levels = level(path)
         jmax = int(np.argmax(levels))
+        if jmax == 1:
+            below = np.flatnonzero(levels[2:-1] < base_level)
+            if below.size:
+                path, arclen = rebalance(path[: below[0] + 3])
+                levels = level(path)
+                jmax = int(np.argmax(levels))
+        spacing = arclen / (MP_SAMPLES - 1)
         if trace is not None:
-            pg = anorm(system.solve(defect(system, params, path[jmax])))
-            distinct = anorm(path[jmax] - first) / max(anorm(first), 1e-30) > MP_DISTINCT_TOL
+            pg = anorms(block.solve(defect(block, params, path[jmax])))
+            distinct = anorms(path[jmax] - base) / max(anorms(base), 1e-30) > MP_DISTINCT_TOL
             trace.append(
                 {
                     "stage": "deform",
@@ -452,7 +476,7 @@ def mountain_pass_search(
                 f"band maximum fell onto the minimal solution after {sweep + 1} sweeps"
             )
         if (sweep + 1) % MP_NEWTON_EVERY == 0:
-            found = _polish_critical_point(system, params, path[jmax], first, base_level)
+            found = _polish_critical_point(system, params, path[jmax], base, base_level)
             if found is not None:
                 break
     else:
@@ -460,4 +484,5 @@ def mountain_pass_search(
             f"no distinct critical point located within {MP_MAX_SWEEPS} sweeps; "
             f"last level {float(levels.max())!r}"
         )
-    return found, measure(system, params, found, sweep + 1, "mountain-pass")
+    second = system.lift(found)
+    return second, measure(system, params, second, sweep + 1, "mountain-pass")

@@ -119,9 +119,12 @@ def test_failed_search_reports_its_sweeps(monkeypatch):
 
 
 def test_band_on_the_minimal_solution_stops(monkeypatch):
-    # the band's maximum falls onto the fixed minimal endpoint after 119
-    # sweeps; the search stops there instead of spending its whole budget
+    # a three-sample band has one interior sample and nothing past it to cut
+    # the path at; when that sample falls below I(first) the maximum is the
+    # fixed minimal endpoint, and the search stops instead of spending its
+    # whole budget.  No 33-sample case is known to reach this exit.
     layers = load_layers(monkeypatch)
+    monkeypatch.setattr(fraclab.variational, "MP_SAMPLES", 3)
     system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 128), 0.35)
     params = fraclab.ProblemParams(s=0.35, q=0.5, lam=0.016766)
     sup = fraclab.scan_supersolution(system, params)
@@ -130,11 +133,29 @@ def test_band_on_the_minimal_solution_stops(monkeypatch):
     with pytest.raises(fraclab.ConvergenceError, match="fell onto the minimal solution") as exc:
         fraclab.mountain_pass_search(system, params, u)
     sweeps = int(layers._SWEEPS.search(str(exc.value)).group(1))
-    assert sweeps <= 130
+    assert 0 < sweeps < fraclab.variational.MP_NEWTON_EVERY
     counts = Counter()
     _, on_error = layers.HOOKS["variational.mountain_pass_search"]
     on_error(counts, exc.value)
     assert counts["variational.mp_sweeps"] == sweeps
+
+
+def test_band_next_to_the_minimal_solution_is_cut():
+    # the full band's peak walks to the sample next to the minimal solution
+    # here; cut at the first later sample below I(first), it resolves the
+    # pass instead of falling onto the minimal solution after 119 sweeps
+    system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 128), 0.35)
+    params = fraclab.ProblemParams(s=0.35, q=0.5, lam=0.016766)
+    sup = fraclab.scan_supersolution(system, params)
+    u, rep = fraclab.monotone_iteration(system, params, bound=sup.values)
+    trace = []
+    v, vrep = fraclab.mountain_pass_search(system, params, u, trace=trace)
+    assert vrep.converged and (v - u).min() >= -1e-8
+    assert vrep.energy > fraclab.energy(system, params, u)
+    # the cut shows in the trace as the peak jumping from the base's side
+    # back into the middle of the resampled band
+    peaks = [e["peak_index"] for e in trace]
+    assert any(b > a + 10 for a, b in zip(peaks, peaks[1:]))
 
 
 def test_checks_judge_the_solver_constants(monkeypatch):

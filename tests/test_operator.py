@@ -29,7 +29,13 @@ from fraclab import (
     principal_eigenpair,
     solve_dirichlet,
 )
-from fraclab.operator import _parity_block, interaction_column
+from fraclab.operator import (
+    _parity_block,
+    defect,
+    energy,
+    interaction_column,
+    is_positive_definite,
+)
 
 # kernel normalization constant, n = 1, from the Gamma-function formula
 # evaluated in 50-digit arithmetic
@@ -389,6 +395,49 @@ def test_odd_lowest_mode_is_diagnosed():
     msg = str(info.value)
     assert msg.startswith("principal mode is not strictly positive: lowest mode is odd")
     assert f"even block {float(even_val)!r}" in msg
+
+
+@pytest.mark.parametrize("s", [0.3, 0.4, 0.45])
+def test_odd_block_cholesky_matches_eigenvalues(s):
+    """the odd test's Cholesky of A_o - lam1 M_o agrees with the odd block's lowest eigenvalue"""
+    system = assemble(build_grid(-1.0, 1.0, 64), s)
+    lam1 = principal_eigenpair(system).value
+    odd_a, odd_m = _parity_block(system, -1.0)
+    lam_odd = eigh(odd_a, np.diag(odd_m), eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert lam_odd > lam1
+    assert is_positive_definite(odd_a - np.diag(lam1 * odd_m))
+    assert not is_positive_definite(odd_a - np.diag(lam_odd * 1.001 * odd_m))
+
+
+def test_is_positive_definite_reads_the_inertia(system64):
+    lam1 = principal_eigenpair(system64).value
+    A, m = system64.stiffness, system64.massw
+    assert is_positive_definite(A)
+    assert is_positive_definite(A - np.diag(0.999 * lam1 * m))
+    assert not is_positive_definite(A - np.diag(1.001 * lam1 * m))
+    assert not is_positive_definite(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("q, lam", [(0.5, 0.0), (1.0, 0.02), (2.0, 0.05)])
+def test_stacked_energy_and_defect_match_rows(system64, rng, q, lam):
+    p = ProblemParams(s=0.4, q=q, lam=lam)
+    U = 0.1 + rng.random((5, 64))
+    E = energy(system64, p, U)
+    D = defect(system64, p, U)
+    assert E.shape == (5,) and D.shape == (5, 64)
+    for i, u in enumerate(U):
+        assert abs(E[i] - energy(system64, p, u)) <= 1e-13 * abs(energy(system64, p, u))
+        d = defect(system64, p, u)
+        assert np.abs(D[i] - d).max() <= 1e-13 * np.abs(d).max()
+
+
+def test_stacked_energy_keeps_the_zero_node_rule_per_row(system64, rng):
+    U = 0.1 + rng.random((3, 64))
+    U[1, 0] = 0.0
+    E = energy(system64, ProblemParams(s=0.4, q=2.0), U)
+    assert np.isinf(E[1]) and np.isfinite(E[[0, 2]]).all()
+    with pytest.raises(ParameterError):
+        energy(system64, ProblemParams(s=0.4, q=0.5), -U)
 
 
 def test_boundary_distance_used_by_profiles(grid128):

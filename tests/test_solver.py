@@ -31,7 +31,14 @@ from fraclab import (
     SupersolutionResult,
     weak_residual,
 )
-from fraclab.solver import ORDER_SLACK, POSITIVITY_FLOOR, RESIDUAL_TOL, ladder_thresholds, newton
+from fraclab.solver import (
+    ORDER_SLACK,
+    POSITIVITY_FLOOR,
+    RESIDUAL_TOL,
+    ladder_thresholds,
+    measure,
+    newton,
+)
 
 
 def ladder_solve(system, params, g=0.0, head=0.1, levels=15):
@@ -94,7 +101,8 @@ def _assert_measured(rep, system, params, u, g=0.0):
     if not np.isfinite(rep.residual):
         return
     assert rep.residual == weak_residual(system, params, u, g)
-    assert rep.energy == energy(system, params, u)
+    work = float(np.sum(system.massw * g * u)) if np.any(g) else 0.0
+    assert rep.energy == energy(system, params, u) - work
     assert not rep.converged or rep.residual <= RESIDUAL_TOL
 
 
@@ -125,6 +133,23 @@ def test_every_report_is_measured(s, q, f, n, g_scale, seed):
         except ConvergenceError:
             return
         _assert_measured(vrep, system, p, v)
+
+
+def test_auxiliary_energy_is_stationary_at_its_solution():
+    """the energy of a solve with a source includes the source's work, so
+    the solution is a critical point of it"""
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    params = ProblemParams(s=0.4, q=2.0)
+    u, rep = solve_singular_semilinear(system, params, 2.0)
+    assert rep.converged
+    phi = np.random.default_rng(0).standard_normal(64)
+    t = 1e-4
+
+    def level(v):
+        return measure(system, params, v, 0, "auxiliary", 2.0).energy
+
+    assert level(u) == rep.energy
+    assert abs(level(u + t * phi) - level(u - t * phi)) / (2.0 * t) <= 1e-6
 
 
 def test_weak_residual_detects_perturbation(system128, params_s04q2, w128):

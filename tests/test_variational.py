@@ -8,6 +8,8 @@ geometry, descent traces).
 import numpy as np
 import pytest
 
+import fraclab.variational
+
 from fraclab import (
     ConvergenceError,
     ParameterError,
@@ -27,6 +29,7 @@ from fraclab import (
     solve_pure_singular,
     weak_residual,
 )
+from fraclab.operator import defect
 from fraclab.solver import RESIDUAL_TOL
 from fraclab.variational import golden_section_max
 
@@ -260,3 +263,59 @@ def test_mountain_pass_takes_rising_sweeps(s, q, lam):
 def test_mountain_pass_needs_positive_lambda(system128, params_s04q2, w128):
     with pytest.raises((ParameterError, ConvergenceError)):
         mountain_pass_search(system128, params_s04q2, w128)
+
+
+def test_mountain_pass_resolves_a_pass_next_to_the_base():
+    # the pass lies within one band spacing of the minimal solution: the
+    # uncut band's peak walked onto it after 123 sweeps
+    system = assemble(build_grid(-1.0, 1.0, 256), 0.4)
+    p = ProblemParams(s=0.4, q=2.0, lam=0.0158003)
+    sup = scan_supersolution(system, p)
+    u_min, min_rep = monotone_iteration(system, p, bound=sup.values)
+    assert min_rep.converged
+    v, rep = mountain_pass_search(system, p, u_min)
+    assert rep.converged and rep.residual <= RESIDUAL_TOL
+    assert (v - u_min).min() >= -1e-8
+    assert rep.energy > energy(system, p, u_min)
+
+
+def test_mountain_pass_on_odd_grid_is_even(params_s04q2):
+    # the band runs on the even block, whose middle node is unpaired at odd N
+    system = assemble(build_grid(-1.0, 1.0, 127), 0.4)
+    p = params_s04q2.with_lam(0.03)
+    u_min, min_rep = monotone_iteration(system, p)
+    assert min_rep.converged
+    v, rep = mountain_pass_search(system, p, u_min)
+    assert np.array_equal(v, v[::-1])
+    assert rep.converged and rep.residual <= RESIDUAL_TOL
+    assert np.linalg.norm(defect(system, p, v)) < 1e-12
+    assert (v - u_min).min() >= -1e-8
+    assert np.abs(v - u_min).max() >= 0.1 * u_min.max()
+    assert rep.energy > energy(system, p, u_min)
+
+
+def test_mountain_pass_needs_an_even_base(system128, params_s04q2):
+    p = params_s04q2.with_lam(0.03)
+    u_min, _ = monotone_iteration(system128, p)
+    tilted = u_min.copy()
+    tilted[0] *= 1.0 + 1e-9
+    with pytest.raises(ParameterError, match="reflection-even"):
+        mountain_pass_search(system128, p, tilted)
+
+
+def test_band_sweep_is_one_stacked_defect(monkeypatch):
+    # a sweep evaluates every interior sample of the even-block band at once
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    p = ProblemParams(s=0.4, q=2.0, lam=0.03)
+    u_min, _ = monotone_iteration(system, p)
+    shapes = []
+
+    def spy(sys_, params, u, *args):
+        shapes.append(np.shape(u))
+        return defect(sys_, params, u, *args)
+
+    monkeypatch.setattr(fraclab.variational, "defect", spy)
+    monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 5)
+    with pytest.raises(ConvergenceError, match="within 5 sweeps"):
+        mountain_pass_search(system, p, u_min)
+    assert shapes == [(fraclab.variational.MP_SAMPLES - 2, 32)] * 5

@@ -24,7 +24,8 @@ i -> N-1-i and the system splits into an even and an odd block of about half
 the size.  ``DiscreteSystem.even`` owns that split: the torsion field is
 solved on the even block and mirrored back, ``principal_eigenpair`` takes
 its mode from the even block and tests the odd one by a Cholesky, and the
-mountain-pass band runs on the even block.  Each block is formed from
+monotone iteration and the mountain-pass band run on the even block, from
+fields that ``even_half`` checks to be even.  Each block is formed from
 slices of the stiffness in O(N^2).
 """
 
@@ -310,6 +311,18 @@ class DiscreteSystem:
         """The field of this system whose left half is the even-block field ``v``."""
         n = self.massw.shape[0]
         return np.concatenate([v, v[: n - v.shape[0]][::-1]])
+
+    def even_half(self, u: Field, name: str) -> Field:
+        """The even-block field that ``lift`` maps to ``u``: its left ceil(N/2) nodes.
+
+        ``u`` must be reflection-even, |u - u reflected| <= 1e-12 max |u| at
+        every node; otherwise ParameterError, with ``name`` labelling the
+        field.  There is no full-space fallback.
+        """
+        u = np.asarray(u, dtype=float)
+        if np.abs(u - u[::-1]).max() > 1e-12 * np.abs(u).max():
+            raise ParameterError(f"{name} must be reflection-even")
+        return u[: self.even.massw.shape[0]]
 
     @property
     def torsion(self) -> Field:

@@ -19,9 +19,11 @@ Newton solves at eps = 0.
 
 w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
-its report is measured on the full system.  Solves with a source g and the
-monotone steps stay in the full space; the mountain-pass search runs on the
-even block too (see ``variational``).
+its report is measured on the full system.  The minimal solution is unique
+too, so the monotone iteration runs every step on the even block from the
+left halves of its even base and bound, and the mountain-pass search runs
+there as well (see ``variational``).  Solves with a source g stay in the
+full space.
 
 Every report of a computed field is built by ``measure``, so its verdict
 ``converged`` is decided there and nowhere else.
@@ -353,14 +355,23 @@ def monotone_iteration(
     (sup norm beyond DIVERGENCE_SUP, or a source lam u^{crit-1} that
     overflows), an inner failure or an escaped bound report residual and
     energy inf.
+
+    Every iterate is even, so the steps run on ``system.even`` from the
+    left halves of ``base`` and ``bound`` (half-size Cholesky factors), and
+    the trace entries read as in the full space.  The result is lifted and
+    measured in the full system.  A base or bound that is not
+    reflection-even to 1e-12 relative raises ParameterError.
     """
     if params.lam < 0.0:
         raise ParameterError("lam must be nonnegative")
     if base is None:
         base, _ = solve_pure_singular(system, params)
-    u = np.asarray(base, dtype=float).copy()
-    if bound is not None and np.any(u > np.asarray(bound, dtype=float) + 1e-8):
-        raise ParameterError("starting field must sit below the supersolution")
+    block = system.even
+    u = system.even_half(base, "the starting field")
+    if bound is not None:
+        bound = system.even_half(bound, "the supersolution")
+        if np.any(u > bound + 1e-8):
+            raise ParameterError("starting field must sit below the supersolution")
     ts = params.crit
     frozen = params.with_lam(0.0)
     status = "cap"
@@ -373,7 +384,7 @@ def monotone_iteration(
             status = "diverged"
             break
         try:
-            unew, _ = newton(system, frozen, u, g)
+            unew, _ = newton(block, frozen, u, g)
         except ConvergenceError:
             status = "inner-failure"
             break
@@ -401,6 +412,7 @@ def monotone_iteration(
         if np.abs(inc).max() <= MONOTONE_TOL:
             status = "converged"
             break
+    u = system.lift(u)
     if status in ("converged", "cap"):
         return u, measure(system, params, u, k, "minimal", settled=status == "converged")
     return u, SolveReport(

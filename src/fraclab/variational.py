@@ -44,9 +44,10 @@ from .solver import measure, newton
 # the concentration scale of the bubble direction.  Every sweep is taken
 # until the band's maximum falls onto the minimal solution; a band that
 # never gets there nor reaches a distinct point spends the whole budget.
-# Successful searches at N = 256 take at most about 120 sweeps.
+# Most successful searches at N = 256 take at most 200 sweeps; near
+# s = 0.35, q = 0.5, lam ~ 0.0121-0.0124 they take up to about 550.
 MP_SAMPLES = 33
-MP_MAX_SWEEPS = 200
+MP_MAX_SWEEPS = 600
 MP_NEWTON_EVERY = 10
 MP_DISTINCT_TOL = 1e-2
 MP_BUBBLE_EPS = 0.02
@@ -97,6 +98,10 @@ def sobolev_constant(
     (at most SOBOLEV_MAX_ITER steps).  The default start is the principal
     eigenvector; that value is computed once per system and kept.  The
     discrete value decreases under refinement toward the continuum constant.
+    The descent runs in the full space, not on the even block: at even N
+    rounding breaks the start's symmetry and the minimizer ends as a spike
+    on one node beside the midpoint, while a descent kept to even fields
+    stops about 23% higher (4.546 against 3.707 at N = 256, s = 0.4).
     """
     if start is None:
         return system.memo(
@@ -386,14 +391,11 @@ def mountain_pass_search(
     first = np.asarray(first, dtype=float)
     if first.min() <= 0.0:
         raise ParameterError("the base solution must be strictly positive")
-    if np.abs(first - first[::-1]).max() > 1e-12 * first.max():
-        raise ParameterError("the base solution must be reflection-even")
+    base = system.even_half(first, "the base solution")
     block = system.even
     A = block.stiffness
-    k = block.massw.shape[0]
-    base = first[:k]
     bubble = make_bubble(system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system))
-    direction = bubble.values[:k]
+    direction = bubble.values[: base.shape[0]]
     base_level = energy(block, params, base)
 
     def anorms(V):

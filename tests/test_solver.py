@@ -32,6 +32,8 @@ from fraclab import (
     weak_residual,
 )
 from fraclab.solver import (
+    MONOTONE_CAP,
+    MONOTONE_TOL,
     ORDER_SLACK,
     POSITIVITY_FLOOR,
     RESIDUAL_TOL,
@@ -534,20 +536,70 @@ def test_monotone_iteration_trace(system128, params_s04q2, w128):
 
 
 def test_monotone_steps_are_warm_newton_at_zero_eps(system128, params_s04q2, w128, monkeypatch):
-    """each step is one Newton solve at eps = 0, the first started from w"""
+    """each step is one Newton solve at eps = 0 on the even block, the first from w's half"""
     starts = []
     real_newton = fraclab.solver.newton
 
     def recording_newton(system, params, u, g=0.0, eps=0.0):
-        starts.append((u.copy(), eps))
+        starts.append((system, u.copy(), eps))
         return real_newton(system, params, u, g, eps)
 
     monkeypatch.setattr(fraclab.solver, "newton", recording_newton)
     u, report = monotone_iteration(system128, params_s04q2.with_lam(0.03))
     assert report.converged
     assert len(starts) == report.iterations
-    assert all(eps == 0.0 for _, eps in starts)
-    np.testing.assert_array_equal(starts[0][0], w128)
+    assert all(sy is system128.even and eps == 0.0 for sy, _, eps in starts)
+    np.testing.assert_array_equal(starts[0][1], w128[:64])
+
+
+def full_space_monotone(system, params):
+    """Reference: the monotone steps from w, each a warm Newton in the full space."""
+    u, _ = solve_pure_singular(system, params)
+    frozen = params.with_lam(0.0)
+    for k in range(1, MONOTONE_CAP + 1):
+        unew, _ = newton(system, frozen, u, params.lam * u ** (params.crit - 1.0))
+        inc, u = unew - u, unew
+        if np.abs(inc).max() <= MONOTONE_TOL:
+            return u, k
+    raise AssertionError("reference loop did not settle")
+
+
+@pytest.mark.parametrize("s, q", [(0.4, 2.0), (0.35, 0.5)])
+def test_monotone_block_matches_full_space(s, q):
+    system = assemble(build_grid(-1.0, 1.0, 128), s)
+    p = ProblemParams(s=s, q=q, lam=0.03)
+    u, report = monotone_iteration(system, p)
+    ref, steps = full_space_monotone(system, p)
+    assert report.converged and report.iterations == steps
+    assert np.abs(u - ref).max() <= 1e-13 * ref.max()
+
+
+def test_monotone_iteration_on_odd_grid_is_even(params_s04q2):
+    # the even block's middle node is unpaired at odd N
+    system = assemble(build_grid(-1.0, 1.0, 127), 0.4)
+    p = params_s04q2.with_lam(0.03)
+    sup = scan_supersolution(system, p)
+    u, report = monotone_iteration(system, p, bound=sup.values)
+    assert report.converged and report.residual <= RESIDUAL_TOL
+    assert np.array_equal(u, u[::-1])
+
+
+@pytest.mark.parametrize("which", ["base", "bound"])
+def test_monotone_iteration_needs_even_fields(system128, params_s04q2, w128, which):
+    p = params_s04q2.with_lam(0.03)
+    fields = {"base": w128.copy(), "bound": scan_supersolution(system128, p).values.copy()}
+    fields[which][0] *= 1.0 + 1e-9
+    with pytest.raises(ParameterError, match="reflection-even"):
+        monotone_iteration(system128, p, **fields)
+
+
+def test_monotone_iteration_takes_a_list_bound(system128, params_s04q2):
+    p = params_s04q2.with_lam(0.03)
+    sup = scan_supersolution(system128, p)
+    u, report = monotone_iteration(system128, p, bound=list(sup.values), trace=[])
+    ref, _ = monotone_iteration(system128, p, bound=sup.values)
+    assert report.converged
+    assert np.array_equal(u, ref)
 
 
 def test_minimal_branch_monotone_in_lambda(system128, params_s04q2):

@@ -118,6 +118,15 @@ def test_sobolev_constant_refines_downward(system128, system256):
     assert 0.0 < s256 <= s128 + 1e-6
 
 
+@pytest.mark.parametrize("s", [0.3, 0.4])
+def test_sobolev_constant_does_not_depend_on_parity_of_n(s):
+    # at even N the minimizer is a spike on one node beside the midpoint, so
+    # it is not even; a descent kept to the even block would stop 23% higher
+    even = sobolev_constant(assemble(build_grid(-1.0, 1.0, 256), s))
+    odd = sobolev_constant(assemble(build_grid(-1.0, 1.0, 255), s))
+    assert even == pytest.approx(odd, rel=1e-3)
+
+
 def test_sobolev_constant_start_behavior(system128, grid128, rng):
     """smooth starts reach the same minimizer; rough starts can stall on a
     higher critical point but never report less than the minimum"""
@@ -274,6 +283,21 @@ def test_mountain_pass_resolves_a_pass_next_to_the_base():
     u_min, min_rep = monotone_iteration(system, p, bound=sup.values)
     assert min_rep.converged
     v, rep = mountain_pass_search(system, p, u_min)
+    assert rep.converged and rep.residual <= RESIDUAL_TOL
+    assert (v - u_min).min() >= -1e-8
+    assert rep.energy > energy(system, p, u_min)
+
+
+def test_mountain_pass_spends_more_than_200_sweeps():
+    # a band in the window s = 0.35, q = 0.5, lam ~ 0.012 needs 240 sweeps
+    # here, so a budget of 200 would fail it
+    system = assemble(build_grid(-1.0, 1.0, 256), 0.35)
+    p = ProblemParams(s=0.35, q=0.5, lam=0.0123)
+    sup = scan_supersolution(system, p)
+    u_min, min_rep = monotone_iteration(system, p, bound=sup.values)
+    assert min_rep.converged
+    v, rep = mountain_pass_search(system, p, u_min)
+    assert 200 < rep.iterations <= fraclab.variational.MP_MAX_SWEEPS
     assert rep.converged and rep.residual <= RESIDUAL_TOL
     assert (v - u_min).min() >= -1e-8
     assert rep.energy > energy(system, p, u_min)

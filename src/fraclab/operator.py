@@ -27,6 +27,12 @@ its mode from the even block and tests the odd one by a Cholesky, and the
 monotone iteration and the mountain-pass band run on the even block, from
 fields that ``even_half`` checks to be even.  Each block is formed from
 slices of the stiffness in O(N^2).
+
+Every product of a matrix with a field goes through ``row_products``.  numpy
+and scipy each load their own OpenBLAS, each with its own thread pool; the
+factorizations and solves run in scipy's, so a single field's product runs
+there too, through ``dgemv``, and the two pools' threads do not compete for
+the cores.  A stack keeps numpy's stacked matmul (see ``row_products``).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
+from scipy.linalg.blas import dgemv
 from scipy.special import gamma
 
 from .errors import ConvergenceError, ParameterError
@@ -116,11 +123,26 @@ class ProblemParams:
 def row_products(matrix: np.ndarray, u: Field) -> Field:
     """``matrix @ u`` for a field, or for each row of an (m, n) stack of fields.
 
-    numpy runs one matrix-vector product per row, so every row equals the
-    product of that row alone bit for bit.  One matrix-matrix product would
-    be a level-3 BLAS call, which multi-threaded BLAS splits across threads
-    at band sizes and whose hand-off can cost milliseconds.
+    A single field's product is one ``dgemv`` in scipy's BLAS, the library
+    that runs the factorizations and solves, so no second OpenBLAS thread
+    pool (numpy's) wakes beside them.  The kernel follows the matrix's
+    memory order as numpy's does: transposed on a C-ordered matrix, plain on
+    an F-ordered one, so the result equals ``matrix @ u`` bit for bit.  A
+    strided matrix or field, which numpy multiplies without BLAS, stays with
+    numpy.
+
+    A stack keeps numpy's stacked matmul, which runs one matrix-vector
+    product per row, so every row equals the product of that row alone bit
+    for bit; a Python loop of ``dgemv`` calls costs about 1.7 times as much
+    at band sizes.  One matrix-matrix product would be a level-3 BLAS call,
+    which multi-threaded BLAS splits across threads at band sizes and whose
+    hand-off can cost milliseconds.
     """
+    if u.ndim == 1 and u.flags.c_contiguous:
+        if matrix.flags.c_contiguous:
+            return dgemv(1.0, matrix.T, u, trans=1)
+        if matrix.flags.f_contiguous:
+            return dgemv(1.0, matrix, u)
     return (matrix @ u[..., None])[..., 0]
 
 
@@ -389,7 +411,7 @@ def apply_operator(system: DiscreteSystem, u: Field) -> Field:
     n = system.massw.shape[0]
     if u.shape != (n,):
         raise ParameterError(f"field shape {u.shape} does not match grid size {n}")
-    return system.stiffness @ u
+    return row_products(system.stiffness, u)
 
 
 def nodal_source(system: DiscreteSystem, f, name: str) -> Field:
@@ -423,7 +445,7 @@ def solve_dirichlet(system: DiscreteSystem, f) -> Field:
     rhs = system.massw * nodal_source(system, f, "source f")
     u = system.solve(rhs)
     scale = np.linalg.norm(rhs)
-    res = np.linalg.norm(system.stiffness @ u - rhs)
+    res = np.linalg.norm(row_products(system.stiffness, u) - rhs)
     if scale > 0 and res > 1e-10 * scale:
         raise ConvergenceError(f"linear solve residual {res / scale:.3e} above 1e-10")
     return u
@@ -488,7 +510,8 @@ def _principal_eigenpair(system: DiscreteSystem) -> SpectralData:
     if phi.min() <= 0.0:
         raise ConvergenceError("principal mode is not strictly positive")
     phi = phi / phi.max()
-    rayleigh = (phi @ (system.stiffness @ phi)) / np.sum(system.massw * phi ** 2)
+    quad = np.vecdot(phi, row_products(system.stiffness, phi))
+    rayleigh = quad / np.sum(system.massw * phi ** 2)
     if abs(rayleigh - lam1) > 1e-8 * max(1.0, abs(lam1)):
         raise ConvergenceError(
             f"eigenvalue {lam1!r} disagrees with Rayleigh quotient {rayleigh!r}"

@@ -47,6 +47,7 @@ from .operator import (
     m_matrix_threshold,
     nodal_source,
     read_only,
+    row_products,
     solve_dirichlet,
 )
 
@@ -245,8 +246,9 @@ def _ladder_defects(system: DiscreteSystem, params: ProblemParams, multipliers):
     z = system.torsion
     M = np.asarray(multipliers, dtype=float)[:, None]
     ub = w + M * z
+    A = system.stiffness
     with np.errstate(over="ignore"):
-        c = system.stiffness @ w + M * (system.stiffness @ z) - system.massw * ub ** (-params.q)
+        c = row_products(A, w) + M * row_products(A, z) - system.massw * ub ** (-params.q)
         b = system.massw * ub ** (params.crit - 1.0)
     return ub, c, b
 

@@ -69,7 +69,7 @@ def gateaux_derivative(
     u = np.asarray(u, dtype=float)
     if u.min() <= 0.0:
         raise ParameterError("gradient needs a strictly positive field")
-    return float(defect(system, params, u) @ np.asarray(phi, dtype=float))
+    return float(np.vecdot(defect(system, params, u), np.asarray(phi, dtype=float)))
 
 
 def critical_quotient(system: DiscreteSystem, u: Field) -> float:
@@ -84,7 +84,7 @@ def critical_quotient(system: DiscreteSystem, u: Field) -> float:
     s = system.s
     ts = critical_exponent(1, s)
     den = np.sum(system.massw * np.abs(u) ** ts) ** (2.0 / ts)
-    return float((u @ (system.stiffness @ u) / kernel_constant(s)) / den)
+    return float((np.vecdot(u, row_products(system.stiffness, u)) / kernel_constant(s)) / den)
 
 
 def sobolev_constant(
@@ -122,7 +122,7 @@ def _minimize_quotient(system: DiscreteSystem, start: Field) -> float:
     for _ in range(SOBOLEV_MAX_ITER):
         den = np.sum(mw * np.abs(u) ** ts)
         un = u / den ** (1.0 / ts)
-        gR = 2.0 * (A @ un) / c - 2.0 * R * mw * np.sign(un) * np.abs(un) ** (ts - 1.0)
+        gR = 2.0 * row_products(A, un) / c - 2.0 * R * mw * np.sign(un) * np.abs(un) ** (ts - 1.0)
         d = system.solve(gR)
         ut = un - alpha * d
         Rt = critical_quotient(system, ut)
@@ -336,9 +336,9 @@ def _polish_critical_point(system, params, v0, floor, floor_level):
         return None
     if not np.linalg.norm(defect(system, params, system.lift(v))) < 1e-12:
         return None
-    floor_norm = math.sqrt(max(floor @ (A @ floor), 1e-300))
+    floor_norm = math.sqrt(max(np.vecdot(floor, row_products(A, floor)), 1e-300))
     diff = v - floor
-    dist = math.sqrt(max(diff @ (A @ diff), 0.0)) / floor_norm
+    dist = math.sqrt(max(np.vecdot(diff, row_products(A, diff)), 0.0)) / floor_norm
     if dist > MP_DISTINCT_TOL and diff.min() >= -1e-8 and energy(block, params, v) > floor_level:
         return v
     return None

@@ -8,11 +8,17 @@ between routes would indicate a kernel-normalization or scaling bug, which
 is exactly the class of error a single-route test cannot see.
 """
 
+import ast
+import inspect
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
+import fraclab
+import fraclab.operator
 from fraclab import (
     ConvergenceError,
     ParameterError,
@@ -35,6 +41,7 @@ from fraclab.operator import (
     energy,
     interaction_column,
     is_positive_definite,
+    row_products,
 )
 
 # kernel normalization constant, n = 1, from the Gamma-function formula
@@ -416,6 +423,55 @@ def test_is_positive_definite_reads_the_inertia(system64):
     assert is_positive_definite(A - np.diag(0.999 * lam1 * m))
     assert not is_positive_definite(A - np.diag(1.001 * lam1 * m))
     assert not is_positive_definite(np.diag([1.0, -1.0]))
+
+
+def test_row_products_match_matmul_bit_for_bit(system64, system128, w128, rng):
+    A = system64.stiffness
+    u = rng.standard_normal(64)
+    B = rng.standard_normal((40, 64))
+    assert A.flags.c_contiguous and system64.inverse.flags.f_contiguous
+    assert not w128.flags.writeable
+    for matrix, v in [
+        (A, u),
+        (system64.inverse, u),
+        (B, u),
+        (B.T, u[:40]),
+        (A[::2, ::2], u[:32]),
+        (system128.stiffness, w128),
+    ]:
+        assert np.array_equal(row_products(matrix, v), matrix @ v)
+    V = rng.standard_normal((5, 64))
+    assert np.array_equal(row_products(A, V), np.stack([A @ v for v in V]))
+
+
+def test_single_field_products_run_in_scipys_blas(system64, rng, monkeypatch):
+    calls = []
+    dgemv = fraclab.operator.dgemv
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return dgemv(*args, **kwargs)
+
+    monkeypatch.setattr(fraclab.operator, "dgemv", counting)
+    p = ProblemParams(s=0.4, q=2.0)
+    U = 0.1 + rng.random((3, 64))
+    defect(system64, p, U[0])
+    assert calls == [(64, 64)]
+    defect(system64, p, U)
+    assert len(calls) == 1
+
+
+def test_no_matrix_product_outside_row_products():
+    """numpy's own OpenBLAS pool stays off the hot path: every ``@`` is row_products'."""
+    lines, first = inspect.getsourcelines(row_products)
+    inside = [("operator.py", n) for n in range(first, first + len(lines))]
+    found = []
+    for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(getattr(node, "op", None), ast.MatMult)]
+    assert [hit for hit in found if hit not in inside] == []
+    assert len(found) == 1
 
 
 @pytest.mark.parametrize("q, lam", [(0.5, 0.0), (1.0, 0.02), (2.0, 0.05)])

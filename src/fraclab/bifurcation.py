@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, boundary_distance
-from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair, row_products
+from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair
 from .solver import (
     ladder_thresholds,
     monotone_iteration,
@@ -279,7 +279,7 @@ def holder_fit(grid: Grid, params: ProblemParams, u: Field) -> HolderFit:
         log_correction = False
     design = np.vstack([reg, np.ones(reg.size)]).T
     coef, *_ = np.linalg.lstsq(design, lu, rcond=None)
-    pred = row_products(design, coef)
+    pred = design @ coef
     ss_res = float(np.sum((lu - pred) ** 2))
     ss_tot = float(np.sum((lu - lu.mean()) ** 2))
     rsq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

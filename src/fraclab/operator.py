@@ -28,11 +28,16 @@ monotone iteration and the mountain-pass band run on the even block, from
 fields that ``even_half`` checks to be even.  Each block is formed from
 slices of the stiffness in O(N^2).
 
-Every product of a matrix with a field goes through ``row_products``.  numpy
-and scipy each load their own OpenBLAS, each with its own thread pool; the
-factorizations and solves run in scipy's, so a single field's product runs
-there too, through ``dgemv``, and the two pools' threads do not compete for
-the cores.  A stack keeps numpy's stacked matmul (see ``row_products``).
+Every product of a matrix with a field goes through ``row_products`` except
+``holder_fit``'s n x 2 least-squares prediction, which is too small to
+matter.  numpy and scipy each load their own OpenBLAS, each with its own thread pool; the
+factorizations and solves run in scipy's, so a single field's product with
+the stiffness or a block runs there too, through ``dgemv``, and no
+matrix-vector product by a single field wakes numpy's pool beside them.  A
+stack keeps numpy's stacked matmul (see ``row_products``).  Dot products
+(``np.vecdot``) and norms of fields stay in numpy's BLAS; at N <= 1024 they
+are level-1 calls, which are not expected to wake its pool, but that has
+not been measured.
 """
 
 from __future__ import annotations
@@ -123,13 +128,15 @@ class ProblemParams:
 def row_products(matrix: np.ndarray, u: Field) -> Field:
     """``matrix @ u`` for a field, or for each row of an (m, n) stack of fields.
 
-    A single field's product is one ``dgemv`` in scipy's BLAS, the library
-    that runs the factorizations and solves, so no second OpenBLAS thread
-    pool (numpy's) wakes beside them.  The kernel follows the matrix's
-    memory order as numpy's does: transposed on a C-ordered matrix, plain on
-    an F-ordered one, so the result equals ``matrix @ u`` bit for bit.  A
-    strided matrix or field, which numpy multiplies without BLAS, stays with
-    numpy.
+    A single field's product with a C-ordered matrix (the stiffness, the
+    blocks) is one ``dgemv`` in scipy's BLAS, the library that runs the
+    factorizations and solves, so no second OpenBLAS thread pool (numpy's)
+    wakes beside them.  It uses the transposed kernel, as numpy does on a
+    C-ordered matrix.  With the wheels measured (numpy 2.4.6 with OpenBLAS
+    0.3.31, scipy 1.17.1 with OpenBLAS 0.3.30, x86-64) the result equals
+    ``matrix @ u`` bit for bit because both copies pick the same kernel;
+    nothing in fraclab guarantees that for other builds or CPUs.  Any other
+    matrix or field (F-ordered, strided) stays with numpy.
 
     A stack keeps numpy's stacked matmul, which runs one matrix-vector
     product per row, so every row equals the product of that row alone bit
@@ -138,11 +145,8 @@ def row_products(matrix: np.ndarray, u: Field) -> Field:
     which multi-threaded BLAS splits across threads at band sizes and whose
     hand-off can cost milliseconds.
     """
-    if u.ndim == 1 and u.flags.c_contiguous:
-        if matrix.flags.c_contiguous:
-            return dgemv(1.0, matrix.T, u, trans=1)
-        if matrix.flags.f_contiguous:
-            return dgemv(1.0, matrix, u)
+    if u.ndim == 1 and u.flags.c_contiguous and matrix.flags.c_contiguous:
+        return dgemv(1.0, matrix.T, u, trans=1)
     return (matrix @ u[..., None])[..., 0]
 
 

@@ -9,7 +9,6 @@ is exactly the class of error a single-route test cannot see.
 """
 
 import ast
-import inspect
 import pathlib
 
 import numpy as np
@@ -426,6 +425,10 @@ def test_is_positive_definite_reads_the_inertia(system64):
 
 
 def test_row_products_match_matmul_bit_for_bit(system64, system128, w128, rng):
+    # scipy's dgemv and numpy's matmul are two OpenBLAS builds; they agree bit
+    # for bit with numpy 2.4.6 (OpenBLAS 0.3.31) and scipy 1.17.1 (0.3.30) on
+    # x86-64, not by any guarantee, so a failure here flags a changed
+    # environment.  The F-ordered and strided cases stay with numpy.
     A = system64.stiffness
     u = rng.standard_normal(64)
     B = rng.standard_normal((40, 64))
@@ -462,16 +465,24 @@ def test_single_field_products_run_in_scipys_blas(system64, rng, monkeypatch):
 
 
 def test_no_matrix_product_outside_row_products():
-    """numpy's own OpenBLAS pool stays off the hot path: every ``@`` is row_products'."""
-    lines, first = inspect.getsourcelines(row_products)
-    inside = [("operator.py", n) for n in range(first, first + len(lines))]
-    found = []
+    """Every ``@`` in the package is in ``row_products``, so no matrix-vector
+    product by a single field runs in numpy's OpenBLAS beside scipy's.
+
+    The one exception is ``holder_fit``'s n x 2 least-squares prediction,
+    far too small to wake a thread pool; scipy's kernel would change its bits.
+    """
+    allowed = {"operator.py": "row_products", "bifurcation.py": "holder_fit"}
+    inside, stray = [], []
     for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [(path.name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(getattr(node, "op", None), ast.MatMult)]
-    assert [hit for hit in found if hit not in inside] == []
-    assert len(found) == 1
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) and f.name == allowed.get(path.name)]
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                hit = (path.name, node.lineno)
+                (inside if any(a <= node.lineno <= b for a, b in spans) else stray).append(hit)
+    assert stray == []
+    assert len(inside) == 2
 
 
 @pytest.mark.parametrize("q, lam", [(0.5, 0.0), (1.0, 0.02), (2.0, 0.05)])

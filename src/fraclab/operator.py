@@ -141,9 +141,9 @@ def row_products(matrix: np.ndarray, u: Field) -> Field:
     A stack keeps numpy's stacked matmul, which runs one matrix-vector
     product per row, so every row equals the product of that row alone bit
     for bit; a Python loop of ``dgemv`` calls costs about 1.7 times as much
-    at band sizes.  One matrix-matrix product would be a level-3 BLAS call,
-    which multi-threaded BLAS splits across threads at band sizes and whose
-    hand-off can cost milliseconds.
+    at band sizes.  One ``dgemm`` per stack is no faster on the benchmark's
+    bands and rounds differently, and the mountain-pass band's sweep count,
+    even whether it succeeds, follows those bits.
     """
     if u.ndim == 1 and u.flags.c_contiguous and matrix.flags.c_contiguous:
         return dgemv(1.0, matrix.T, u, trans=1)
@@ -267,10 +267,10 @@ class DiscreteSystem:
     """Assembled stiffness matrix and lumped mass weights on a grid.
 
     ``assemble`` marks both arrays read-only, so no cached value can go
-    stale.  The stiffness factor and inverse, the even block, the torsion
-    field, the principal eigenpair, the pure singular solution (per q) and
-    the Sobolev constant are computed on first use through ``memo`` and kept
-    for the life of the system; cached arrays are read-only.
+    stale.  The stiffness factor, the even block, the torsion field, the
+    principal eigenpair, the pure singular solution (per q) and the Sobolev
+    constant are computed on first use through ``memo`` and kept for the
+    life of the system; cached arrays are read-only.
 
     The even block is a system too.  It keeps its parent's grid, so the node
     count of a field is read from ``massw``, never from ``grid``.
@@ -296,16 +296,6 @@ class DiscreteSystem:
     def solve(self, rhs: Field) -> Field:
         """Solution x of A x = rhs, from the cached factor."""
         return cho_solve(self.factor, rhs)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """Read-only inverse of the stiffness matrix, solved from the cached factor.
-
-        A stack of right-hand sides is solved by ``row_products`` with it,
-        one matrix-vector product per row.
-        """
-        n = self.massw.shape[0]
-        return self.memo("inverse", lambda: read_only(self.solve(np.eye(n))))
 
     @property
     def even(self) -> "DiscreteSystem":

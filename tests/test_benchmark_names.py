@@ -118,32 +118,10 @@ def test_failed_search_reports_its_sweeps(monkeypatch):
     assert counts["variational.mp_sweeps"] == 3
 
 
-def test_band_on_the_minimal_solution_stops(monkeypatch):
-    # a three-sample band has one interior sample and nothing past it to cut
-    # the path at; when that sample falls below I(first) the maximum is the
-    # fixed minimal endpoint, and the search stops instead of spending its
-    # whole budget.  No 33-sample case is known to reach this exit.
-    layers = load_layers(monkeypatch)
-    monkeypatch.setattr(fraclab.variational, "MP_SAMPLES", 3)
-    system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 128), 0.35)
-    params = fraclab.ProblemParams(s=0.35, q=0.5, lam=0.016766)
-    sup = fraclab.scan_supersolution(system, params)
-    u, rep = fraclab.monotone_iteration(system, params, bound=sup.values)
-    assert sup.valid and rep.converged
-    with pytest.raises(fraclab.ConvergenceError, match="fell onto the minimal solution") as exc:
-        fraclab.mountain_pass_search(system, params, u)
-    sweeps = int(layers._SWEEPS.search(str(exc.value)).group(1))
-    assert 0 < sweeps < fraclab.variational.MP_NEWTON_EVERY
-    counts = Counter()
-    _, on_error = layers.HOOKS["variational.mountain_pass_search"]
-    on_error(counts, exc.value)
-    assert counts["variational.mp_sweeps"] == sweeps
-
-
 def test_band_next_to_the_minimal_solution_is_cut():
     # the full band's peak walks to the sample next to the minimal solution
     # here; cut at the first later sample below I(first), it resolves the
-    # pass instead of falling onto the minimal solution after 119 sweeps
+    # pass; uncut, its maximum slid onto the minimal solution after 119 sweeps
     system = fraclab.assemble(fraclab.build_grid(-1.0, 1.0, 128), 0.35)
     params = fraclab.ProblemParams(s=0.35, q=0.5, lam=0.016766)
     sup = fraclab.scan_supersolution(system, params)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraclab.bifurcation
+import fraclab.variational
 from fraclab import (
     ConvergenceError,
     ParameterError,
@@ -24,6 +25,7 @@ from fraclab import (
     mountain_pass_search,
     principal_eigenpair,
     scan_supersolution,
+    sobolev_constant,
     solve_pure_singular,
     solve_singular_semilinear,
     sweep_lambda,
@@ -215,6 +217,19 @@ def test_sweep_second_branch(system64):
         sweep_lambda(system64, params, [0.02], lambda_star=(0.06, 0.05, 0.07))
 
 
+def test_sweep_second_branch_records_a_failed_search(monkeypatch):
+    # a search that spends its budget leaves an unconverged row, not an error
+    monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 3)
+    system = assemble(build_grid(-1.0, 1.0, 32), 0.4)
+    diagram = sweep_lambda(system, ProblemParams(s=0.4, q=2.0), [0.02], second=True)
+    minimal, failed = diagram.entries
+    assert minimal.branch == "minimal" and minimal.converged
+    assert failed.branch == "mountain-pass" and failed.lam == 0.02
+    assert not failed.converged and failed.iterations == 0
+    assert failed.residual == np.inf
+    assert np.isnan(failed.sup) and np.isnan(failed.energy)
+
+
 def test_sweep_records_divergence(system64, params_s04q2):
     lam1 = principal_eigenpair(system64).value
     cert = lambda_certificate(params_s04q2, lam1)
@@ -281,6 +296,9 @@ def test_extremal_validation(system64, params_s04q2):
         ("lam_star", lambda sy, p, u: extremal_solution(sy, p)),
         ("cap", lambda sy, p, u: monotone_iteration(sy, p.with_lam(0.02), cap=60)),
     ]
+] + [
+    # a second removed ``start`` keyword, under its own id
+    pytest.param("start", lambda sy, p, u: sobolev_constant(sy, start=u), id="sobolev_start"),
 ])
 def test_fixed_settings_are_not_keywords(system64, params_s04q2, name, call):
     # removed keywords fail at the call; lam_star has no default any more

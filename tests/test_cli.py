@@ -12,6 +12,7 @@ import pytest
 
 import fraclab.cli
 import fraclab.solver
+import fraclab.variational
 from fraclab import (
     BifurcationDiagram,
     ProblemParams,
@@ -376,3 +377,48 @@ def test_validate_deterministic_per_seed(tmp_path, capsys):
     assert r1 != r3
     stdout = capsys.readouterr().out
     assert stdout.count("RESULT PASS") == 3
+
+
+def _assert_first_only(out):
+    # a failed mountain-pass run keeps the first solution and a manifest
+    # that lists it, with only its report
+    assert sorted(os.listdir(out)) == ["first_solution.json", "manifest.json"]
+    manifest = load_manifest(out / "manifest.json")
+    assert manifest["files"] == {"first_solution.json": sha256_file(out / "first_solution.json")}
+    assert list(manifest["reports"]) == ["first"]
+
+
+def test_mountain_pass_budget_exit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 3)
+    trace_file = tmp_path / "deform.jsonl"
+    rc, out = run(tmp_path, "mountain-pass", "--s", "0.4", "--q", "2",
+                  "--lambda", "0.02", "--N", "32", "--trace", str(trace_file))
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "mountain pass failed: no distinct critical point located within 3 sweeps")
+    _assert_first_only(out)
+    # the trace is written on failure too
+    records = [json.loads(line) for line in trace_file.read_text().splitlines()]
+    assert [r["stage"] for r in records] == ["deform"] * 3
+
+
+def test_mountain_pass_without_base_point_exits(tmp_path, capsys):
+    rc, out = run(tmp_path, "mountain-pass", "--s", "0.4", "--q", "2",
+                  "--lambda", "1.0", "--N", "32")
+    assert rc == 3
+    assert "minimal branch did not converge; no base point" in capsys.readouterr().err
+    _assert_first_only(out)
+
+
+def test_sweep_second_with_failed_search(tmp_path, monkeypatch):
+    # a failed search is a row of sweep.csv, not an exit, and draws no plot
+    monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 3)
+    rc, out = run(tmp_path, "sweep", "--s", "0.4", "--q", "2",
+                  "--lambda", "0.02", "--N", "32", "--second")
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    assert len(rows) == 3
+    assert rows[1][:2] == ["0.02", "minimal"] and rows[1][-1] == "True"
+    assert rows[2] == ["0.02", "mountain-pass", "nan", "nan", "inf", "False"]
+    assert (out / "sweep_minimal.dat").exists()
+    assert not (out / "sweep_mountain-pass.dat").exists()

@@ -430,13 +430,14 @@ def test_row_products_match_matmul_bit_for_bit(system64, system128, w128, rng):
     # x86-64, not by any guarantee, so a failure here flags a changed
     # environment.  The F-ordered and strided cases stay with numpy.
     A = system64.stiffness
+    inverse = system64.solve(np.eye(64))
     u = rng.standard_normal(64)
     B = rng.standard_normal((40, 64))
-    assert A.flags.c_contiguous and system64.inverse.flags.f_contiguous
+    assert A.flags.c_contiguous and inverse.flags.f_contiguous
     assert not w128.flags.writeable
     for matrix, v in [
         (A, u),
-        (system64.inverse, u),
+        (inverse, u),
         (B, u),
         (B.T, u[:40]),
         (A[::2, ::2], u[:32]),
@@ -483,6 +484,27 @@ def test_no_matrix_product_outside_row_products():
                 (inside if any(a <= node.lineno <= b for a, b in spans) else stray).append(hit)
     assert stray == []
     assert len(inside) == 2
+
+
+def test_no_unused_module_imports():
+    """Every name a module of the package imports at module level is read in
+    that module.  ``__init__.py`` imports to re-export, and ``from __future__``
+    binds nothing."""
+    unused = []
+    for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append((path.name, bound))
+    assert unused == []
 
 
 @pytest.mark.parametrize("q, lam", [(0.5, 0.0), (1.0, 0.02), (2.0, 0.05)])

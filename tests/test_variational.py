@@ -132,9 +132,9 @@ def test_sobolev_constant_start_behavior(system128, grid128, rng):
     higher critical point but never report less than the minimum"""
     S = sobolev_constant(system128)
     smooth = (1.0 - grid128.nodes**2) ** 2
-    assert sobolev_constant(system128, start=smooth) == pytest.approx(S, abs=1e-9)
+    assert fraclab.variational._minimize_quotient(system128, smooth) == pytest.approx(S, abs=1e-9)
     rough = np.abs(rng.standard_normal(128)) + 0.5
-    assert sobolev_constant(system128, start=rough) >= S - 1e-9
+    assert fraclab.variational._minimize_quotient(system128, rough) >= S - 1e-9
 
 
 def test_bubble_geometry(grid128, system128):
@@ -218,6 +218,18 @@ def test_energy_gap_report(system128, params_s04q2):
     assert gap.ok
     assert gap.all_below
     assert bool(gap)
+
+
+def test_stacked_ray_levels_match_single_calls(system128, params_s04q2):
+    # the gap check's 800-point ray grid is one stacked energy call; its
+    # levels equal one call per point bit for bit (the wheels named in
+    # test_row_products_match_matmul_bit_for_bit)
+    p = params_s04q2.with_lam(0.05)
+    u, _ = monotone_iteration(system128, p)
+    bub = make_bubble(system128.grid, p, 0.02, sobolev_constant(system128))
+    tg = np.linspace(0.0, 8.0, 800)
+    stacked = energy(system128, p, u + np.outer(tg, bub.values))
+    assert np.array_equal(stacked, [energy(system128, p, u + t * bub.values) for t in tg])
 
 
 def test_mountain_pass_second_solution(system128, params_s04q2):
@@ -343,3 +355,38 @@ def test_band_sweep_is_one_stacked_defect(monkeypatch):
     with pytest.raises(ConvergenceError, match="within 5 sweeps"):
         mountain_pass_search(system, p, u_min)
     assert shapes == [(fraclab.variational.MP_SAMPLES - 2, 32)] * 5
+
+
+@pytest.fixture(scope="module")
+def polish_case():
+    # the even-block floor and second solution at s = 0.4, q = 2, lam = 0.02
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    p = ProblemParams(s=0.4, q=2.0, lam=0.02)
+    u_min, min_rep = monotone_iteration(system, p)
+    assert min_rep.converged
+    v, rep = mountain_pass_search(system, p, u_min)
+    assert rep.converged
+    floor = system.even_half(u_min, "floor")
+    return system, p, floor, energy(system.even, p, floor), system.even_half(v, "second")
+
+
+def test_polish_from_the_floor_is_not_distinct(polish_case):
+    # Newton stays on the minimal solution: its gradient passes the first
+    # gate, and the last one rejects it, as it is not distant from the floor
+    # (nor above the floor's level)
+    system, p, floor, floor_level, _ = polish_case
+    v, _ = fraclab.variational.newton(system.even, p, floor)
+    assert np.linalg.norm(defect(system, p, system.lift(v))) < 1e-12
+    assert np.abs(v - floor).max() <= 1e-10 * floor.max()
+    polish = fraclab.variational._polish_critical_point
+    assert polish(system, p, floor, floor, floor_level) is None
+
+
+def test_polish_rejects_a_limit_with_a_gradient(polish_case, monkeypatch):
+    # the second solution passes every gate; scaled by 1 + 1e-6 it still
+    # passes the distance, cone and level gates but not the gradient's
+    system, p, floor, floor_level, second = polish_case
+    polish = fraclab.variational._polish_critical_point
+    assert polish(system, p, second, floor, floor_level) is not None
+    monkeypatch.setattr(fraclab.variational, "newton", lambda sy, pa, u: (u * (1.0 + 1e-6), 0))
+    assert polish(system, p, second, floor, floor_level) is None

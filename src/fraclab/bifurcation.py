@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .grid import Grid, boundary_distance
-from .operator import DiscreteSystem, Field, ProblemParams, principal_eigenpair
+from .operator import (
+    DiscreteSystem, Field, ProblemParams, critical_power, principal_eigenpair, source,
+)
 from .solver import (
     ladder_thresholds,
     monotone_iteration,
@@ -45,14 +47,19 @@ def lambda_certificate(params: ProblemParams, lam1: float) -> float:
     The maximum over t > 0 of f(t) = (2 lam1 t - t^{-q}) / t^{crit-1}.
     f' vanishes only at t*^{q+1} = (crit + q - 1) / (2 lam1 (crit - 2)),
     where 2 lam1 t*^{q+1} - 1 = (q + 1) / (crit - 2) > 0, so the maximum is
-    f(t*) and it is positive.
+    f(t*) and it is positive.  A t*^{crit-1} that leaves the float range
+    raises ConvergenceError: it overflows for a tiny lam1 (a very long
+    interval) and underflows to 0 for a huge one (a very short interval).
     """
     if lam1 <= 0.0:
         raise ParameterError("principal eigenvalue must be positive")
     q = params.q
     ts = params.crit
     t = ((ts + q - 1.0) / (2.0 * lam1 * (ts - 2.0))) ** (1.0 / (q + 1.0))
-    return float((2.0 * lam1 * t - t ** (-q)) / t ** (ts - 1.0))
+    try:
+        return float((2.0 * lam1 * t - source(params.with_lam(0.0), t)) / critical_power(params, t))
+    except (OverflowError, ZeroDivisionError):
+        raise ConvergenceError(f"certificate leaves the float range at t* = {t:g}") from None
 
 
 @dataclass(frozen=True)

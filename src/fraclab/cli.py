@@ -30,6 +30,7 @@ from .errors import ConvergenceError, FraclabError, ParameterError
 from .grid import build_grid
 from .operator import (
     ProblemParams,
+    apply_operator,
     assemble,
     is_positive_definite,
     jacobian,
@@ -43,7 +44,6 @@ from .solver import (
     scan_supersolution,
     envelope_check,
     monotone_iteration,
-    newton,
     solve_pure_singular,
     solve_singular_semilinear,
 )
@@ -418,19 +418,14 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
         fd_ok = fd_ok and rel <= 1e-4
     check("gateaux-fd", fd_ok, f"worst_rel={worst_fd:.3e}")
 
-    # the solutions of the regularized problems rise to w as eps falls: a
-    # ladder of 15 levels and eps = 0, climbed by warm Newton solves from
-    # the linear solve with source 0.1^-q
-    base = params.with_lam(0.0)
+    # the solutions u of the regularized problems A u = massw (u + eps)^{-q}
+    # rise to w as eps falls.  A is linear, so v = u + eps solves the
+    # frozen-source problem with g = eps (A 1) / massw > 0: 15 levels and
+    # eps = 0, each a cold solve
+    a1 = apply_operator(system, np.ones(grid.n)) / system.massw
     levels = [0.1 * 4.0 ** (-k) for k in range(15)] + [0.0]
-    u = solve_dirichlet(system, 0.1 ** -params.q)
-    inc_ok = True
-    prev = None
-    for eps in levels:
-        u, _ = newton(system, base, u, 0.0, eps)
-        if prev is not None:
-            inc_ok = inc_ok and float((u - prev).min()) >= -1e-10
-        prev = u
+    fields = [solve_singular_semilinear(system, params, eps * a1)[0] - eps for eps in levels]
+    inc_ok = all(float((u - prev).min()) >= -1e-10 for prev, u in zip(fields, fields[1:]))
     check("regularization-monotone", inc_ok, f"stages={len(levels)}")
 
     p_lam = params.with_lam(0.02)

@@ -16,8 +16,11 @@ alone (see its docstring): each is computed once, on first use, and kept
 read-only for the life of the system.  The energy functional lives here
 beside its gradient ``defect`` and its Hessian ``jacobian``; ``energy`` and
 ``defect`` also take an (m, n) stack of fields, one per row, so a whole
-elastic band is evaluated in one call.  ``is_positive_definite`` reads the
-inertia of a symmetric matrix from one Cholesky attempt.
+elastic band is evaluated in one call.  ``source`` is the one spelling of
+the nonlinearity u^{-q} + g + lam u^{crit-1} and ``critical_power`` its
+lam-derivative; the other modules form the source through them.  No kernel
+carries a regularization level (see ``defect``).  ``is_positive_definite``
+reads the inertia of a symmetric matrix from one Cholesky attempt.
 
 The grid is uniform, so the Toeplitz stiffness commutes with the reflection
 i -> N-1-i and the system splits into an even and an odd block of about half
@@ -116,11 +119,6 @@ class ProblemParams:
         """Critical exponent 2n/(n - 2s) with n = 1."""
         return critical_exponent(1, self.s)
 
-    @property
-    def cns(self) -> float:
-        """Normalization constant of the kernel for this order."""
-        return kernel_constant(self.s)
-
     def with_lam(self, lam: float) -> "ProblemParams":
         return ProblemParams(s=self.s, q=self.q, lam=lam)
 
@@ -150,28 +148,43 @@ def row_products(matrix: np.ndarray, u: Field) -> Field:
     return (matrix @ u[..., None])[..., 0]
 
 
-def defect(system: "DiscreteSystem", params: ProblemParams, u: Field, g=0.0, eps=0.0) -> Field:
-    """Nodal defect A u - massw ((u + eps)^{-q} + g + lam u^{crit-1}).
+def critical_power(params: ProblemParams, u):
+    """u^{crit-1}, the lam-derivative of ``source``; u is a scalar, a field or a stack."""
+    return u ** (params.crit - 1.0)
 
-    ``g`` is a frozen source (scalar or nodal vector) and ``eps`` the
-    regularization level.  The critical term enters only when lam != 0, so
-    frozen-source solves (lam = 0) never form lam * u^{crit-1}.  ``u`` may be
-    an (m, n) stack of fields, one per row; the defects come back as rows,
-    each equal to the defect of its row alone.
+
+def source(params: ProblemParams, u, g=0.0):
+    """Nodal source u^{-q} + g + lam u^{crit-1}, the one spelling of the nonlinearity.
+
+    ``g`` is a frozen source (scalar or nodal vector).  The critical term
+    enters only when lam != 0, so frozen-source problems (lam = 0) never form
+    u^{crit-1}, which can overflow.  ``u`` is a scalar, a field or an (m, n)
+    stack of fields, one per row.
     """
-    src = (u + eps) ** (-params.q) + g
+    src = u ** (-params.q) + g
     if params.lam != 0.0:
-        src = src + params.lam * u ** (params.crit - 1.0)
-    return row_products(system.stiffness, u) - system.massw * src
+        src = src + params.lam * critical_power(params, u)
+    return src
 
 
-def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field, eps=0.0) -> np.ndarray:
-    """Jacobian of ``defect`` in u: A + diag(massw (q (u+eps)^{-q-1} - lam (crit-1) u^{crit-2})).
+def defect(system: "DiscreteSystem", params: ProblemParams, u: Field, g=0.0) -> Field:
+    """Nodal defect A u - massw ``source``(u, g) = A u - massw (u^{-q} + g + lam u^{crit-1}).
+
+    ``u`` may be an (m, n) stack of fields, one per row; the defects come
+    back as rows, each equal to the defect of its row alone.  A regularized
+    level eps, A u = massw (u + eps)^{-q}, is the frozen-source problem in
+    v = u + eps with g = eps (A 1) / massw, because A is linear.
+    """
+    return row_products(system.stiffness, u) - system.massw * source(params, u, g)
+
+
+def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field) -> np.ndarray:
+    """Jacobian of ``defect`` in u: A + diag(massw (q u^{-q-1} - lam (crit-1) u^{crit-2})).
 
     Symmetric positive definite when lam = 0; the critical term can make it
     indefinite.
     """
-    d = params.q * system.massw * (u + eps) ** (-params.q - 1.0)
+    d = params.q * system.massw * u ** (-params.q - 1.0)
     if params.lam != 0.0:
         d = d - params.lam * (params.crit - 1.0) * system.massw * u ** (params.crit - 2.0)
     J = system.stiffness.copy()

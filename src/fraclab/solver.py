@@ -7,7 +7,10 @@ factorizes with Cholesky and descends the residual, and no regularization
 ladder is needed: the cold start is the torsion field reshaped to w's
 boundary growth and scaled so that its peak is consistent, plus the linear
 solution with source g.  The same Newton factorizes with LU when the
-critical term is present (mountain-pass polish).
+critical term is present (mountain-pass polish).  The kernels carry no
+regularization level: the problem regularized at eps, with (u + eps)^{-q},
+is the frozen-source problem in u + eps with g = eps (A 1) / massw, since
+A is linear.  The nonlinearity is spelled once, in ``operator.source``.
 
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
@@ -15,7 +18,7 @@ ladder over the torsion-like profile, checked for every rung in one pass
 because A(w + M z) = A w + M A z, the largest lam at which a rung validates
 in closed form, and the monotone iteration that climbs from the pure
 singular solution to the minimal solution of the full problem by warm
-Newton solves at eps = 0.
+Newton solves with the frozen source lam u^{crit-1}.
 
 w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
@@ -41,6 +44,7 @@ from .operator import (
     DiscreteSystem,
     Field,
     ProblemParams,
+    critical_power,
     defect,
     energy,
     jacobian,
@@ -49,6 +53,7 @@ from .operator import (
     read_only,
     row_products,
     solve_dirichlet,
+    source,
 )
 
 
@@ -109,8 +114,8 @@ def measure(system, params, u, iterations, branch, g=0.0, settled=True) -> Solve
     )
 
 
-def newton(system, params, u, g=0.0, eps=0.0):
-    """Damped Newton on ``defect(system, params, u, g, eps) = 0`` from ``u``.
+def newton(system, params, u, g=0.0):
+    """Damped Newton on ``defect(system, params, u, g) = 0`` from ``u``.
 
     Each step halves its length (at most 40 times) until the trial iterate
     stays above POSITIVITY_FLOOR and lowers the defect norm; it stops when
@@ -120,21 +125,19 @@ def newton(system, params, u, g=0.0, eps=0.0):
     trial's seeds the next step.  Returns (u, iterations).  Raises
     ConvergenceError when the line search stalls on an iterate whose Newton
     step is still above that tolerance (at a converged iterate the defect
-    sits at rounding level and no step can lower it), and when an
-    unregularized solve (eps = 0) takes NEWTON_MAX_ITER steps; a regularized
-    level only seeds the next one, so there the last iterate is returned.
-    A non-finite defect or step (an overflowed source, say) raises
-    ConvergenceError too.
+    sits at rounding level and no step can lower it), and when it takes
+    NEWTON_MAX_ITER steps.  A non-finite defect or step (an overflowed
+    source, say) raises ConvergenceError too.
     """
     spd = params.lam == 0.0
-    r = defect(system, params, u, g, eps)
+    r = defect(system, params, u, g)
     for it in range(NEWTON_MAX_ITER):
         if not np.isfinite(r).all():
-            raise ConvergenceError(f"non-finite defect at eps={eps:g} after {it} Newton steps")
-        J = jacobian(system, params, u, eps)
+            raise ConvergenceError(f"non-finite defect after {it} Newton steps")
+        J = jacobian(system, params, u)
         du = cho_solve(cho_factor(J), -r) if spd else lu_solve(lu_factor(J), -r)
         if not np.isfinite(du).all():
-            raise ConvergenceError(f"non-finite step at eps={eps:g} after {it} Newton steps")
+            raise ConvergenceError(f"non-finite step after {it} Newton steps")
         t = 1.0
         # a norm can overflow to inf: a trial near the floor is then rejected
         # like any other that does not descend, and under a huge lam the
@@ -144,22 +147,18 @@ def newton(system, params, u, g=0.0, eps=0.0):
             for _ in range(40):
                 ut = u + t * du
                 if ut.min() > POSITIVITY_FLOOR:
-                    rt = defect(system, params, ut, g, eps)
+                    rt = defect(system, params, ut, g)
                     if np.linalg.norm(rt) < rn0:
                         break
                 t *= 0.5
             else:
                 if np.linalg.norm(du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
                     return u, it
-                raise ConvergenceError(
-                    f"line search stalled at eps={eps:g} after {it} Newton steps"
-                )
+                raise ConvergenceError(f"line search stalled after {it} Newton steps")
         # the accepted trial is the next iterate and its defect the next r
         u, r = ut, rt
         if np.linalg.norm(t * du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
             return u, it + 1
-    if eps > 0.0:
-        return u, NEWTON_MAX_ITER
     raise ConvergenceError(f"no convergence within {NEWTON_MAX_ITER} Newton steps")
 
 
@@ -169,10 +168,10 @@ def solve_singular_semilinear(system: DiscreteSystem, params: ProblemParams, g=0
     ``g`` is a frozen nonnegative source (scalar or nodal vector; a wrong
     shape or a non-finite entry raises ParameterError); lam in ``params``
     plays no part in the equation.  The Jacobian is SPD on the whole
-    positive cone, so Newton runs on the unregularized equation (eps = 0)
-    from u0 = c max z (z / max z)^p + max(z_g, 0): z is the system's
-    torsion field, z_g the linear solution with source g (none is solved
-    when g = 0; below the M-matrix threshold it can dip below zero).
+    positive cone, so Newton runs on the singular equation itself from
+    u0 = c max z (z / max z)^p + max(z_g, 0): z is the system's torsion
+    field, z_g the linear solution with source g (none is solved when
+    g = 0; below the M-matrix threshold it can dip below zero).
     c = (max z)^{-q/(q+1)} makes the start's peak consistent,
     c = (c max z)^{-q}.  z grows like d^s off the boundary and w like
     d^{2s/(q+1)} when q > 1, so p = min(1, 2/(q+1)) gives the start w's
@@ -246,10 +245,10 @@ def _ladder_defects(system: DiscreteSystem, params: ProblemParams, multipliers):
     z = system.torsion
     M = np.asarray(multipliers, dtype=float)[:, None]
     ub = w + M * z
-    A = system.stiffness
+    A, mw = system.stiffness, system.massw
     with np.errstate(over="ignore"):
-        c = row_products(A, w) + M * row_products(A, z) - system.massw * ub ** (-params.q)
-        b = system.massw * ub ** (params.crit - 1.0)
+        c = row_products(A, w) + M * row_products(A, z) - mw * source(params.with_lam(0.0), ub)
+        b = mw * critical_power(params, ub)
     return ub, c, b
 
 
@@ -342,9 +341,9 @@ def monotone_iteration(
 
     ``base`` defaults to the system's pure singular solution w; a minimal
     solution at a smaller lam is a warm start too.  Each step solves the
-    frozen-source singular problem by one damped Newton at eps = 0 started
-    from the previous iterate (the first from ``base``): the Jacobian is SPD
-    on the positive cone, so no regularized stage is needed.  A step whose
+    frozen-source singular problem by one damped Newton started from the
+    previous iterate (the first from ``base``): the Jacobian is SPD on the
+    positive cone, so no regularized stage is needed.  A step whose
     Newton fails or leaves the positive cone ends the iteration with status
     inner-failure.
     The sequence is nondecreasing; its limit, when the sup norms stay
@@ -374,13 +373,12 @@ def monotone_iteration(
         bound = system.even_half(bound, "the supersolution")
         if np.any(u > bound + 1e-8):
             raise ParameterError("starting field must sit below the supersolution")
-    ts = params.crit
     frozen = params.with_lam(0.0)
     status = "cap"
     k = 0
     for k in range(1, MONOTONE_CAP + 1):
         with np.errstate(over="ignore"):
-            g = params.lam * u ** (ts - 1.0)
+            g = params.lam * critical_power(params, u)
         if not np.isfinite(g).all():
             # the source overflowed: the sup norm is past any useful bound
             status = "diverged"
@@ -508,7 +506,7 @@ def envelope_check(
     if u.min() <= 0.0:
         raise ParameterError("field must be strictly positive")
     w, _ = solve_pure_singular(system, params)
-    g_top = params.lam * float(u.max()) ** (params.crit - 1.0)
+    g_top = params.lam * critical_power(params, float(u.max()))
     z, _ = solve_singular_semilinear(system, params, g_top)
     low = u - w
     high = z - u

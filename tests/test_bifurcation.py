@@ -31,7 +31,8 @@ from fraclab import (
     sweep_lambda,
     weak_residual,
 )
-from fraclab.solver import RESIDUAL_TOL
+from fraclab.operator import defect, jacobian
+from fraclab.solver import RESIDUAL_TOL, newton
 
 # closed form at unit eigenvalue, q = 2, order 1/4: the maximizer is
 # (5/4)^(1/3) and the maximum 2 (5/4)^(-2/3) - (5/4)^(-5/3)
@@ -60,6 +61,14 @@ def test_certificate_monotone_in_eigenvalue(params_s04q2):
     assert 0.0 < c1 < c2
     with pytest.raises(ParameterError):
         lambda_certificate(params_s04q2, 0.0)
+
+
+@pytest.mark.parametrize("lam1", [1e-250, 1e120])
+def test_certificate_out_of_float_range_is_typed(lam1):
+    # t* ~ lam1^{-1/(q+1)}: t*^{crit-1} overflows for a tiny lam1 and
+    # underflows to 0 for a huge one
+    with pytest.raises(ConvergenceError, match="certificate leaves the float range"):
+        lambda_certificate(ProblemParams(s=0.4, q=2.0), lam1)
 
 
 def test_certificate_on_mesh(system128, params_s04q2):
@@ -299,6 +308,10 @@ def test_extremal_validation(system64, params_s04q2):
 ] + [
     # a second removed ``start`` keyword, under its own id
     pytest.param("start", lambda sy, p, u: sobolev_constant(sy, start=u), id="sobolev_start"),
+    # the kernels carry no regularization level
+    pytest.param("eps", lambda sy, p, u: defect(sy, p, u, eps=0.1), id="defect_eps"),
+    pytest.param("eps", lambda sy, p, u: jacobian(sy, p, u, eps=0.1), id="jacobian_eps"),
+    pytest.param("eps", lambda sy, p, u: newton(sy, p, u, eps=0.1), id="newton_eps"),
 ])
 def test_fixed_settings_are_not_keywords(system64, params_s04q2, name, call):
     # removed keywords fail at the call; lam_star has no default any more

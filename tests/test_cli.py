@@ -165,7 +165,7 @@ def test_smallest_grid_runs(tmp_path, argv):
 
 
 def test_converged_iterate_does_not_stall(tmp_path):
-    # the eps = 0 stage reaches a rounding-level defect that no step can lower
+    # the Newton solve reaches a rounding-level defect that no step can lower
     rc, out = run(tmp_path, "pure-singular", "--s", "0.4", "--q", "0.5", "--N", "16")
     assert rc == 0
     assert json.loads((out / "pure_singular.json").read_text())["converged"] is True
@@ -227,6 +227,55 @@ def test_overflowed_source_exits_convergence(tmp_path, argv):
     # an infinite defect, which failed untyped (exit 1)
     rc, _ = run(tmp_path, *argv)
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-star", "--s", "0.4", "--q", "2", "--N", "64", "--a=0", "--b=1e150"],
+    ["lambda-star", "--s", "0.4", "--q", "2", "--N", "64", "--a=0", "--b=1e-150"],
+    # the sweep solves w before the certificate, and at this scale the norm
+    # in solve_dirichlet and the energy overflow with RuntimeWarnings first
+    pytest.param(["sweep", "--s", "0.4", "--q", "2", "--lambda", "0", "--N", "32", "--a=0",
+                  "--b=1e200"], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_certificate_out_of_float_range_exits_convergence(tmp_path, capsys, argv):
+    # on a very long interval lam1 is tiny and the certificate's t*^{crit-1}
+    # overflows; on a very short one it underflows to 0.  Both failed
+    # untyped (exit 1)
+    rc, _ = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("convergence failure: certificate leaves the float range")
+    assert "Traceback" not in err
+
+
+def test_blas_thread_count_moves_only_last_bits(tmp_path):
+    """The same op at one and at two OpenBLAS threads lands on the same field.
+
+    The thread count changes the order of the floating-point sums in the
+    factorizations, so the result files differ in their last bits: with
+    numpy 2.4.6, scipy 1.17.1 and 2 vCPUs, ``pure-singular``, ``solve``,
+    ``lambda-star`` and ``mountain-pass`` at N = 256 all write different
+    bytes at 1 and at 2 threads.  That depends on the CPU and the wheels, so
+    it is not asserted; the fields must agree to 1e-10 relative.
+    """
+    src = os.path.dirname(os.path.dirname(fraclab.solver.__file__))
+    argv = [sys.executable, "-m", "fraclab.cli", "pure-singular", "--s", "0.4", "--q", "2",
+            "--N", "256", "--output-dir"]
+    procs = {
+        threads: subprocess.Popen(
+            [*argv, str(tmp_path / threads)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    }
+    fields = []
+    for threads, proc in procs.items():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        payload = json.loads((tmp_path / threads / "pure_singular.json").read_text())
+        assert payload["converged"] is True
+        fields.append(np.array(payload["values"]))
+    one, two = fields
+    assert np.abs(one - two).max() <= 1e-10 * np.abs(one).max()
 
 
 def test_sweep_csv_contract(tmp_path):

@@ -36,11 +36,13 @@ from fraclab import (
 )
 from fraclab.operator import (
     _parity_block,
+    critical_power,
     defect,
     energy,
     interaction_column,
     is_positive_definite,
     row_products,
+    source,
 )
 
 # kernel normalization constant, n = 1, from the Gamma-function formula
@@ -154,7 +156,8 @@ def test_admissibility_region():
 def test_problem_params_validation():
     p = ProblemParams(s=0.4, q=2.0, lam=0.05)
     assert p.crit == pytest.approx(10.0, rel=1e-12)
-    assert p.cns == pytest.approx(CNS_TABLE[0.4], rel=1e-13)
+    assert kernel_constant(p.s) == pytest.approx(CNS_TABLE[0.4], rel=1e-13)
+    assert not hasattr(p, "cns")
     p2 = p.with_lam(0.1)
     assert (p2.s, p2.q, p2.lam) == (0.4, 2.0, 0.1)
     with pytest.raises(ParameterError):
@@ -486,6 +489,27 @@ def test_no_matrix_product_outside_row_products():
     assert len(inside) == 2
 
 
+def test_nonlinearity_is_spelled_in_operator_only():
+    """Every ``**`` whose exponent is the singular or the critical power lives
+    in ``operator.py``, so the source u^{-q} + g + lam u^{crit-1} and its
+    lam-derivative have one spelling (``source``, ``critical_power``).
+
+    The one exception is ``sobolev_constant``'s gradient of the critical
+    embedding quotient, a different functional.
+    """
+    powers = {"-params.q", "-q", "params.crit - 1.0", "ts - 1.0"}
+    sites = []
+    for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
+        if path.name == "operator.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and ast.unparse(node.right) in powers):
+                sites.append((path.name, ast.unparse(node)))
+    assert sites == [("variational.py", "np.abs(un) ** (ts - 1.0)")]
+
+
 def test_no_unused_module_imports():
     """Every name a module of the package imports at module level is read in
     that module.  ``__init__.py`` imports to re-export, and ``from __future__``
@@ -518,6 +542,53 @@ def test_stacked_energy_and_defect_match_rows(system64, rng, q, lam):
         assert abs(E[i] - energy(system64, p, u)) <= 1e-13 * abs(energy(system64, p, u))
         d = defect(system64, p, u)
         assert np.abs(D[i] - d).max() <= 1e-13 * np.abs(d).max()
+
+
+@pytest.mark.parametrize("q, lam, g", [(0.5, 0.0, 0.0), (2.0, 0.05, 0.3), (1.0, 0.02, "field")])
+def test_source_takes_scalar_field_and_stack(rng, q, lam, g):
+    p = ProblemParams(s=0.4, q=q, lam=lam)
+    U = 0.1 + rng.random((3, 16))
+    g = rng.random(16) if g == "field" else g
+    S, C = source(p, U, g), critical_power(p, U)
+    for i, u in enumerate(U):
+        assert np.array_equal(S[i], source(p, u, g))
+        assert np.array_equal(C[i], critical_power(p, u))
+        gj = g[5] if np.ndim(g) else g
+        assert source(p, float(u[5]), gj) == S[i, 5]
+        assert critical_power(p, float(u[5])) == C[i, 5]
+
+
+@pytest.mark.parametrize("q, lam", [(0.5, 0.0), (2.0, 0.05)])
+def test_defect_is_products_less_weighted_source(system64, rng, q, lam):
+    p = ProblemParams(s=0.4, q=q, lam=lam)
+    g = rng.random(64)
+    for u in (0.1 + rng.random(64), 0.1 + rng.random((3, 64))):
+        expected = row_products(system64.stiffness, u) - system64.massw * source(p, u, g)
+        assert np.array_equal(defect(system64, p, u, g), expected)
+
+
+def test_frozen_source_never_forms_the_critical_power():
+    # crit - 1 = 199 at s = 0.495: u = 1e3 would overflow u^{crit-1}
+    p = ProblemParams(s=0.495, q=2.0)
+    u = np.full(8, 1e3)
+    with np.errstate(over="raise"):
+        assert np.isfinite(source(p, u, 1.0)).all()
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        source(p.with_lam(0.01), u)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-4])
+def test_regularized_level_is_a_shifted_frozen_source(system64, rng, eps):
+    """A (u + eps) = A u + eps A 1: the defect at u + eps with the source
+    eps (A 1) / massw is the regularized defect A u - massw (u + eps)^{-q}"""
+    p = ProblemParams(s=0.4, q=2.0)
+    a1 = row_products(system64.stiffness, np.ones(64)) / system64.massw
+    assert a1.min() > 0.0
+    u = 0.1 + rng.random(64)
+    au = row_products(system64.stiffness, u)
+    shifted = defect(system64, p, u + eps, eps * a1)
+    regularized = au - system64.massw * (u + eps) ** (-p.q)
+    assert np.abs(shifted - regularized).max() <= 1e-12 * np.abs(au).max()
 
 
 def test_stacked_energy_keeps_the_zero_node_rule_per_row(system64, rng):

@@ -46,16 +46,21 @@ from fraclab.solver import (
 def ladder_solve(system, params, g=0.0, head=0.1, levels=15):
     """Reference solve: the dense regularization ladder.
 
-    A cold start from the linear solve with source head^{-q} + g, then damped
-    Newton at eps = head 4^{-k}, k < levels, each warm from the level above,
-    and finally at eps = 0.  Returns the field after each level and the total
-    Newton steps; a failed eps = 0 stage raises ConvergenceError.
+    Level eps solves A u = massw ((u + eps)^{-q} + g).  A is linear, so that
+    is the frozen-source problem in v = u + eps with source g + eps a1,
+    a1 = (A 1) / massw.  A cold start from the linear solve with source
+    head^{-q} + g, then damped Newton in v at eps = head 4^{-k}, k < levels,
+    each warm from the level above, and finally at eps = 0.  Returns the
+    field u = v - eps after each level and the total Newton steps; a failed
+    level raises ConvergenceError.
     """
     base = params.with_lam(0.0)
+    a1 = fraclab.operator.apply_operator(system, np.ones(system.grid.n)) / system.massw
     u = fraclab.operator.solve_dirichlet(system, head ** -params.q + g)
     fields, total = [], 0
     for eps in [head * 4.0 ** (-k) for k in range(levels)] + [0.0]:
-        u, its = newton(system, base, u, g, eps)
+        v, its = newton(system, base, u + eps, g + eps * a1)
+        u = v - eps
         fields.append(u)
         total += its
     return fields, total
@@ -277,17 +282,17 @@ def test_newton_evaluates_each_defect_once(monkeypatch):
     real_defect = fraclab.solver.defect
     real_jacobian = fraclab.solver.jacobian
 
-    def recording_defect(system, params, u, g=0.0, eps=0.0):
+    def recording_defect(system, params, u, g=0.0):
         fields.append(u.copy())
-        return real_defect(system, params, u, g, eps)
+        return real_defect(system, params, u, g)
 
-    def recording_jacobian(system, params, u, eps=0.0):
+    def recording_jacobian(system, params, u):
         iterates.append(u.copy())
-        return real_jacobian(system, params, u, eps)
+        return real_jacobian(system, params, u)
 
     monkeypatch.setattr(fraclab.solver, "defect", recording_defect)
     monkeypatch.setattr(fraclab.solver, "jacobian", recording_jacobian)
-    u, its = newton(system, params, u0, 0.0, 0.1)
+    u, its = newton(system, params, u0)
     assert its == len(iterates) >= 5
     accepted = iterates[1:] + [u]
     # a rejected trial is a field that never became an iterate
@@ -536,20 +541,24 @@ def test_monotone_iteration_trace(system128, params_s04q2, w128):
 
 
 def test_monotone_steps_are_warm_newton_at_zero_eps(system128, params_s04q2, w128, monkeypatch):
-    """each step is one Newton solve at eps = 0 on the even block, the first from w's half"""
+    """each step is one frozen-source Newton solve on the even block, the first
+    from w's half, with source lam u^{crit-1} of the iterate it starts from"""
     starts = []
     real_newton = fraclab.solver.newton
+    p = params_s04q2.with_lam(0.03)
 
-    def recording_newton(system, params, u, g=0.0, eps=0.0):
-        starts.append((system, u.copy(), eps))
-        return real_newton(system, params, u, g, eps)
+    def recording_newton(system, params, u, g=0.0):
+        starts.append((system, params, u.copy(), g))
+        return real_newton(system, params, u, g)
 
     monkeypatch.setattr(fraclab.solver, "newton", recording_newton)
-    u, report = monotone_iteration(system128, params_s04q2.with_lam(0.03))
+    u, report = monotone_iteration(system128, p)
     assert report.converged
     assert len(starts) == report.iterations
-    assert all(sy is system128.even and eps == 0.0 for sy, _, eps in starts)
-    np.testing.assert_array_equal(starts[0][1], w128[:64])
+    for sy, frozen, start, g in starts:
+        assert sy is system128.even and frozen.lam == 0.0
+        np.testing.assert_array_equal(g, p.lam * start ** (p.crit - 1.0))
+    np.testing.assert_array_equal(starts[0][2], w128[:64])
 
 
 def full_space_monotone(system, params):

@@ -85,14 +85,19 @@ def estimate_lambda_star(system: DiscreteSystem, params: ProblemParams) -> Lambd
     A lam is feasible when ``scan_supersolution`` finds a multiplier on its
     ladder whose supersolution validates.  ``ladder_thresholds`` gives the
     largest feasible lam and a bracket ORDER_SLACK in the defect to either
-    side of it, which two scans confirm (or ConvergenceError).  No minimal
-    solution is computed: the validated supersolution lies above the
-    subsolution w, which is what the sub/supersolution method needs for a
-    solution between them.  lam carried by ``params`` is ignored here.
+    side of it, which two scans confirm (or ConvergenceError).  A bracket
+    that is not a finite range of nonnegative lam (on an interval so short
+    that the ladder's defects leave the float range) raises ConvergenceError
+    too.  No minimal solution is computed: the validated supersolution lies
+    above the subsolution w, which is what the sub/supersolution method
+    needs for a solution between them.  lam carried by ``params`` is
+    ignored here.
     """
     spec = principal_eigenpair(system)
     cert = lambda_certificate(params, spec.value)
     lo, estimate, hi = ladder_thresholds(system, params)
+    if not 0.0 <= lo <= hi < math.inf:
+        raise ConvergenceError(f"ladder bracket ({lo:g}, {hi:g}) is not a range of finite lam >= 0")
     scans = [scan_supersolution(system, params.with_lam(lam)) for lam in (lo, hi)]
     if not scans[0].valid or scans[1].valid:
         raise ConvergenceError(f"ladder verdicts do not confirm the bracket ({lo:g}, {hi:g})")

@@ -41,6 +41,22 @@ stack keeps numpy's stacked matmul (see ``row_products``).  Dot products
 (``np.vecdot``) and norms of fields stay in numpy's BLAS; at N <= 1024 they
 are level-1 calls, which are not expected to wake its pool, but that has
 not been measured.
+
+Every matrix handed to ``cho_factor`` or ``lu_factor`` is Fortran-ordered.
+LAPACK stores matrices by column, and f2py answers a C-ordered argument
+with a transposed Fortran-ordered copy, a fresh N x N allocation that cost
+about as much as the Cholesky factorization itself at N = 512.  The
+stiffness, its blocks and every Jacobian are exactly symmetric, so the
+view ``M.T`` of a C-ordered M is M itself in Fortran order: ``jacobian``
+returns such a view of a fresh copy, which Newton factors in place
+(``overwrite_a=True``), and ``DiscreteSystem.factor`` and
+``is_positive_definite`` factor ``M.T``, which f2py copies without a
+transpose because they may not overwrite it.  The factors and solves are
+bit for bit those of the C-ordered matrices.  A Jacobian plus factor plus
+solve went from 4.7 to 2.2 ms (Cholesky) at N = 512 and from 1.0 to
+0.55 ms (LU) at N = 256 on a shared 2-vCPU x86-64 host.  The
+mountain-pass band's inverse, stacked products and ``eigh`` keep their
+layouts: the band's outcome follows their bits.
 """
 
 from __future__ import annotations
@@ -182,14 +198,23 @@ def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field) -> np.nd
     """Jacobian of ``defect`` in u: A + diag(massw (q u^{-q-1} - lam (crit-1) u^{crit-2})).
 
     Symmetric positive definite when lam = 0; the critical term can make it
-    indefinite.
+    indefinite.  The matrix is a fresh Fortran-ordered array that the caller
+    owns and may factor in place (``overwrite_a=True``): it is the transpose
+    view of a C-ordered copy of A + diag(d), and that sum is exactly
+    symmetric, so the view equals it entry by entry.  A diagonal that
+    overflows (a node so close to 0 that u^{-q-1} leaves the float range,
+    say) raises ConvergenceError.
     """
-    d = params.q * system.massw * u ** (-params.q - 1.0)
-    if params.lam != 0.0:
-        d = d - params.lam * (params.crit - 1.0) * system.massw * u ** (params.crit - 2.0)
+    with np.errstate(over="ignore"):
+        d = params.q * system.massw * u ** (-params.q - 1.0)
+        if params.lam != 0.0:
+            d = d - params.lam * (params.crit - 1.0) * system.massw * u ** (params.crit - 2.0)
+    if not np.isfinite(d).all():
+        raise ConvergenceError(
+            f"non-finite Jacobian diagonal (u from {u.min():.3e} to {u.max():.3e})")
     J = system.stiffness.copy()
     J.flat[:: J.shape[0] + 1] += d
-    return J
+    return J.T
 
 
 def energy(system: "DiscreteSystem", params: ProblemParams, u: Field):
@@ -213,8 +238,11 @@ def energy(system: "DiscreteSystem", params: ProblemParams, u: Field):
             sing = np.sum(mw * np.log(u), axis=-1)
         else:
             sing = np.sum(mw * u ** (1.0 - q), axis=-1) / (1.0 - q)
-    ts = params.crit
-    critical = params.lam / ts * np.sum(mw * u ** ts, axis=-1)
+    # as in ``source``, lam = 0 never forms u^crit, which can overflow
+    critical = 0.0
+    if params.lam != 0.0:
+        ts = params.crit
+        critical = params.lam / ts * np.sum(mw * u ** ts, axis=-1)
     value = np.where((u.min(axis=-1) == 0.0) & (q >= 1.0), math.inf, quad - sing - critical)
     return float(value) if u.ndim == 1 else value
 
@@ -303,8 +331,12 @@ class DiscreteSystem:
 
     @property
     def factor(self):
-        """Cholesky factor of the stiffness matrix, as ``cho_solve`` takes it."""
-        return self.memo("factor", lambda: cho_factor(self.stiffness))
+        """Cholesky factor of the stiffness matrix, as ``cho_solve`` takes it.
+
+        It factors the Fortran-ordered view ``stiffness.T`` (A is symmetric),
+        which f2py copies without a transpose.
+        """
+        return self.memo("factor", lambda: cho_factor(self.stiffness.T))
 
     def solve(self, rhs: Field) -> Field:
         """Solution x of A x = rhs, from the cached factor."""
@@ -446,15 +478,18 @@ def solve_dirichlet(system: DiscreteSystem, f) -> Field:
     ``f`` may be a scalar or a nodal vector; the discrete right-hand side is
     the lumped load massw * f, solved against the system's cached factor.
     A wrong shape or a non-finite entry raises ParameterError.  The solve is
-    checked a posteriori and a relative residual above 1e-10 raises
-    ConvergenceError.
+    checked a posteriori: a relative residual above 1e-10, or one that is
+    not a number, raises ConvergenceError.  Both norms are taken of vectors
+    divided by max |rhs|, so the check holds at any scale of the load.
     """
     rhs = system.massw * nodal_source(system, f, "source f")
     u = system.solve(rhs)
-    scale = np.linalg.norm(rhs)
-    res = np.linalg.norm(row_products(system.stiffness, u) - rhs)
-    if scale > 0 and res > 1e-10 * scale:
-        raise ConvergenceError(f"linear solve residual {res / scale:.3e} above 1e-10")
+    peak = np.abs(rhs).max()
+    if peak > 0:
+        scale = np.linalg.norm(rhs / peak)
+        res = np.linalg.norm((row_products(system.stiffness, u) - rhs) / peak)
+        if not res <= 1e-10 * scale:
+            raise ConvergenceError(f"linear solve residual {res / scale:.3e} above 1e-10")
     return u
 
 
@@ -492,10 +527,12 @@ def is_positive_definite(M: np.ndarray) -> bool:
     """True when the symmetric matrix M has a Cholesky factor.
 
     By Sylvester's law of inertia this says whether every eigenvalue of M is
-    positive, at the cost of one factorization and no eigen-solve.
+    positive, at the cost of one factorization and no eigen-solve.  It
+    factors the view ``M.T``, which f2py copies without a transpose when M
+    is C-ordered; M itself is never overwritten.
     """
     try:
-        cho_factor(M)
+        cho_factor(M.T)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -121,13 +121,14 @@ def newton(system, params, u, g=0.0):
     stays above POSITIVITY_FLOOR and lowers the defect norm; it stops when
     the accepted step is at most NEWTON_STEP_TOL relative to the iterate.
     The Jacobian is factorized with Cholesky when lam = 0 (it is then SPD)
-    and with LU otherwise.  Each defect is evaluated once: the accepted
-    trial's seeds the next step.  Returns (u, iterations).  Raises
+    and with LU otherwise, in place: ``jacobian`` hands over a fresh
+    Fortran-ordered array, so LAPACK gets it without a copy.  Each defect
+    is evaluated once: the accepted trial's seeds the next step.  Returns (u, iterations).  Raises
     ConvergenceError when the line search stalls on an iterate whose Newton
     step is still above that tolerance (at a converged iterate the defect
     sits at rounding level and no step can lower it), and when it takes
-    NEWTON_MAX_ITER steps.  A non-finite defect or step (an overflowed
-    source, say) raises ConvergenceError too.
+    NEWTON_MAX_ITER steps.  A non-finite defect, Jacobian diagonal or step
+    (an overflowed source, say) raises ConvergenceError too.
     """
     spd = params.lam == 0.0
     r = defect(system, params, u, g)
@@ -135,7 +136,10 @@ def newton(system, params, u, g=0.0):
         if not np.isfinite(r).all():
             raise ConvergenceError(f"non-finite defect after {it} Newton steps")
         J = jacobian(system, params, u)
-        du = cho_solve(cho_factor(J), -r) if spd else lu_solve(lu_factor(J), -r)
+        if spd:
+            du = cho_solve(cho_factor(J, overwrite_a=True), -r)
+        else:
+            du = lu_solve(lu_factor(J, overwrite_a=True), -r)
         if not np.isfinite(du).all():
             raise ConvergenceError(f"non-finite step after {it} Newton steps")
         t = 1.0

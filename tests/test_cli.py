@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fraclab.cli
+import fraclab.operator
 import fraclab.solver
 import fraclab.variational
 from fraclab import (
@@ -232,10 +233,8 @@ def test_overflowed_source_exits_convergence(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["lambda-star", "--s", "0.4", "--q", "2", "--N", "64", "--a=0", "--b=1e150"],
     ["lambda-star", "--s", "0.4", "--q", "2", "--N", "64", "--a=0", "--b=1e-150"],
-    # the sweep solves w before the certificate, and at this scale the norm
-    # in solve_dirichlet and the energy overflow with RuntimeWarnings first
-    pytest.param(["sweep", "--s", "0.4", "--q", "2", "--lambda", "0", "--N", "32", "--a=0",
-                  "--b=1e200"], marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # the sweep solves w and measures its energy before the certificate, silently
+    ["sweep", "--s", "0.4", "--q", "2", "--lambda", "0", "--N", "32", "--a=0", "--b=1e200"],
 ])
 def test_certificate_out_of_float_range_exits_convergence(tmp_path, capsys, argv):
     # on a very long interval lam1 is tiny and the certificate's t*^{crit-1}
@@ -246,6 +245,47 @@ def test_certificate_out_of_float_range_exits_convergence(tmp_path, capsys, argv
     assert rc == 3
     assert err.startswith("convergence failure: certificate leaves the float range")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("b", ["1e-100", "1e-60"])
+def test_ladder_bracket_out_of_range_exits_convergence(tmp_path, capsys, b):
+    # on a very short interval the ladder's thresholds leave the float range
+    # (b = 1e-100 gives -inf and inf) or the lower one drops below 0
+    # (b = 1e-60); a lam built from them failed as a parameter error (exit 2)
+    rc, _ = run(tmp_path, "lambda-star", "--s", "0.4", "--q", "2", "--N", "64", "--a=0",
+                f"--b={b}")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("convergence failure: ladder bracket")
+    assert "Traceback" not in err
+
+
+def test_every_factored_matrix_is_fortran_ordered(tmp_path, monkeypatch):
+    """LAPACK stores matrices by column: a C-ordered one would cost f2py a transposed copy.
+
+    Newton owns its Jacobians and factors them in place; ``operator`` factors
+    the stiffness and a caller's matrix, which it must not overwrite.
+    """
+    calls = {}
+    for module, name in [(fraclab.operator, "cho_factor"), (fraclab.solver, "cho_factor"),
+                         (fraclab.solver, "lu_factor")]:
+        key = f"{module.__name__}.{name}"
+
+        def recording(a, *args, _real=getattr(module, name), _key=key, **kwargs):
+            calls.setdefault(_key, set()).add(
+                (a.flags.f_contiguous, kwargs.get("overwrite_a", False)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    for argv in (["pure-singular"], ["lambda-star"], ["solve", "--lambda", "0.03"],
+                 ["mountain-pass", "--lambda", "0.02"]):
+        rc, _ = run(tmp_path / argv[0], *argv, "--s", "0.4", "--q", "2", "--N", "64")
+        assert rc == 0
+    assert calls == {
+        "fraclab.operator.cho_factor": {(True, False)},
+        "fraclab.solver.cho_factor": {(True, True)},
+        "fraclab.solver.lu_factor": {(True, True)},
+    }
 
 
 def test_blas_thread_count_moves_only_last_bits(tmp_path):

@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve
 
 import fraclab
 import fraclab.operator
@@ -41,6 +41,7 @@ from fraclab.operator import (
     energy,
     interaction_column,
     is_positive_definite,
+    jacobian,
     row_products,
     source,
 )
@@ -284,6 +285,12 @@ def test_solve_dirichlet_zero_source(system64):
         solve_dirichlet(system64, np.ones(65))
 
 
+def test_solve_dirichlet_check_is_scale_free(system64):
+    # the 2-norm of a load near 1e300 overflows; the check divides by max |rhs| first
+    u = solve_dirichlet(system64, 1e300)
+    np.testing.assert_allclose(u, 1e300 * solve_dirichlet(system64, 1.0), rtol=1e-13)
+
+
 def test_solve_dirichlet_residual_and_positivity(system64):
     u = solve_dirichlet(system64, 1.0)
     r = system64.stiffness @ u - system64.massw
@@ -425,6 +432,49 @@ def test_is_positive_definite_reads_the_inertia(system64):
     assert is_positive_definite(A - np.diag(0.999 * lam1 * m))
     assert not is_positive_definite(A - np.diag(1.001 * lam1 * m))
     assert not is_positive_definite(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("s, n", [(0.4, 64), (0.3, 15), (0.1, 33), (0.45, 2)])
+def test_stiffness_and_parity_blocks_are_exactly_symmetric(s, n):
+    """A == A.T entry by entry, so the Fortran-ordered view A.T hands LAPACK A itself"""
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    for M in (system.stiffness, system.even.stiffness, _parity_block(system, -1.0)[0]):
+        assert np.array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("lam, factor, solve", [
+    (0.0, cho_factor, cho_solve),
+    (0.0, lu_factor, lu_solve),
+    (0.05, lu_factor, lu_solve),
+])
+def test_in_place_factor_and_solve_match_the_copying_path(system64, rng, lam, factor, solve):
+    """the F-ordered Jacobian factored in place solves as the C-ordered one did, bit for bit"""
+    p = ProblemParams(s=0.4, q=2.0, lam=lam)
+    u = 0.1 + rng.random(64)
+    b = rng.standard_normal(64)
+    J = jacobian(system64, p, u)
+    assert J.flags.f_contiguous and J.flags.writeable
+    assert not np.shares_memory(J, system64.stiffness)
+    C = np.ascontiguousarray(J)  # the layout jacobian returned before
+    expected = solve(factor(C), b)
+    f = factor(J, overwrite_a=True)
+    assert np.shares_memory(f[0], J)  # no copy was made
+    assert np.array_equal(solve(f, b), expected)
+
+
+def test_stiffness_factor_and_inertia_test_keep_their_inputs(system64):
+    """``factor`` equals the factor of the C-ordered stiffness; no caller's matrix is overwritten"""
+    system = assemble(system64.grid, system64.s)
+    c, lower = system.factor
+    c0, lower0 = cho_factor(system.stiffness)
+    assert lower == lower0 and np.array_equal(c, c0)
+    lam1 = principal_eigenpair(system64).value
+    M = system64.stiffness - np.diag(0.999 * lam1 * system64.massw)
+    J = jacobian(system64, ProblemParams(s=0.4, q=2.0), np.ones(64))
+    for matrix in (M, J):
+        before = matrix.copy()
+        assert is_positive_definite(matrix)
+        assert np.array_equal(matrix, before)
 
 
 def test_row_products_match_matmul_bit_for_bit(system64, system128, w128, rng):
@@ -575,6 +625,12 @@ def test_frozen_source_never_forms_the_critical_power():
         assert np.isfinite(source(p, u, 1.0)).all()
     with pytest.raises(FloatingPointError), np.errstate(over="raise"):
         source(p.with_lam(0.01), u)
+    # nor does the energy: it skips the critical term at lam = 0
+    system = assemble(build_grid(-1.0, 1.0, 8), 0.495)
+    with np.errstate(over="raise"):
+        assert np.isfinite(energy(system, p, u))
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        energy(system, p.with_lam(0.01), u)
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-4])

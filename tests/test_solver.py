@@ -331,6 +331,17 @@ def test_newton_types_non_finite_defect_and_step(monkeypatch):
             newton(system, params.with_lam(0.01), w)
 
 
+def test_newton_types_overflowed_jacobian():
+    """u^{-q} finite but u^{-q-1} past the float range: ConvergenceError, not scipy's ValueError"""
+    system = assemble(build_grid(-1.0, 1.0, 32), 0.4)
+    params = ProblemParams(s=0.4, q=40.0)
+    u = np.ones(32)
+    u[5] = 2.5e-8
+    assert np.isfinite(fraclab.operator.defect(system, params, u)).all()
+    with pytest.raises(ConvergenceError, match="non-finite Jacobian diagonal"):
+        newton(system, params, u)
+
+
 def test_steep_singularity_stays_silent():
     """trials whose defect norm overflows are rejected without numeric warnings"""
     system = assemble(build_grid(-1.0, 1.0, 16), 0.3)

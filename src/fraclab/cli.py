@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma
@@ -468,7 +469,14 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if ok else 3
 
 
+@lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every ``main``.
+
+    Building it takes about 1 ms, some 5% of a ``lambda-star`` op at
+    N = 512, and no parse changes it: each ``parse_args`` fills a fresh
+    namespace.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="KEY=VALUE config file mirroring the flags")
     common.add_argument("--s", type=float, dest="s", help="fractional order in (0, 1/2)")

@@ -49,14 +49,15 @@ about as much as the Cholesky factorization itself at N = 512.  The
 stiffness, its blocks and every Jacobian are exactly symmetric, so the
 view ``M.T`` of a C-ordered M is M itself in Fortran order: ``jacobian``
 returns such a view of a fresh copy, which Newton factors in place
-(``overwrite_a=True``), and ``DiscreteSystem.factor`` and
-``is_positive_definite`` factor ``M.T``, which f2py copies without a
-transpose because they may not overwrite it.  The factors and solves are
-bit for bit those of the C-ordered matrices.  A Jacobian plus factor plus
-solve went from 4.7 to 2.2 ms (Cholesky) at N = 512 and from 1.0 to
-0.55 ms (LU) at N = 256 on a shared 2-vCPU x86-64 host.  The
-mountain-pass band's inverse, stacked products and ``eigh`` keep their
-layouts: the band's outcome follows their bits.
+(``overwrite_a=True``), ``DiscreteSystem.factor`` factors
+``stiffness.T`` and ``is_positive_definite`` whichever of M and ``M.T`` is
+Fortran-ordered, which f2py copies without a transpose because they may
+not overwrite it.  The factors and solves are bit for bit those of the
+C-ordered matrices.  A Jacobian plus factor plus solve went from 4.7 to
+2.2 ms (Cholesky) at N = 512 and from 1.0 to 0.55 ms (LU) at N = 256 on a
+shared 2-vCPU x86-64 host.  The mountain-pass band's inverse, stacked
+products and ``eigh`` keep their layouts: the band's outcome follows
+their bits.
 """
 
 from __future__ import annotations
@@ -309,9 +310,10 @@ class DiscreteSystem:
 
     ``assemble`` marks both arrays read-only, so no cached value can go
     stale.  The stiffness factor, the even block, the torsion field, the
-    principal eigenpair, the pure singular solution (per q) and the Sobolev
-    constant are computed on first use through ``memo`` and kept for the
-    life of the system; cached arrays are read-only.
+    principal eigenpair, the pure singular solution (per q), the default
+    supersolution ladder's candidates and lam-free defects (per q) and the
+    Sobolev constant are computed on first use through ``memo`` and kept
+    for the life of the system; cached arrays are read-only.
 
     The even block is a system too.  It keeps its parent's grid, so the node
     count of a field is read from ``massw``, never from ``grid``.
@@ -479,18 +481,25 @@ def solve_dirichlet(system: DiscreteSystem, f) -> Field:
     the lumped load massw * f, solved against the system's cached factor.
     A wrong shape or a non-finite entry raises ParameterError.  The solve is
     checked a posteriori: a relative residual above 1e-10, or one that is
-    not a number, raises ConvergenceError.  Both norms are taken of vectors
-    divided by max |rhs|, so the check holds at any scale of the load.
+    not a number, raises ConvergenceError.  The load is solved and checked
+    scaled by the power of two 2^-e that brings max |rhs| into [1/2, 1), and
+    the solution is scaled back.  So the check holds at any scale of the
+    load (a subnormal load keeps its digits, and the 2-norm of one near
+    1e300 does not overflow), and where no scaled value leaves the normal
+    range the result is bit for bit that of the unscaled solve.
     """
     rhs = system.massw * nodal_source(system, f, "source f")
-    u = system.solve(rhs)
     peak = np.abs(rhs).max()
-    if peak > 0:
-        scale = np.linalg.norm(rhs / peak)
-        res = np.linalg.norm((row_products(system.stiffness, u) - rhs) / peak)
-        if not res <= 1e-10 * scale:
-            raise ConvergenceError(f"linear solve residual {res / scale:.3e} above 1e-10")
-    return u
+    if not peak > 0:
+        return system.solve(rhs)
+    e = math.frexp(peak)[1]
+    rhs = np.ldexp(rhs, -e)
+    u = system.solve(rhs)
+    res = np.linalg.norm(row_products(system.stiffness, u) - rhs)
+    scale = np.linalg.norm(rhs)
+    if not res <= 1e-10 * scale:
+        raise ConvergenceError(f"linear solve residual {res / scale:.3e} above 1e-10")
+    return np.ldexp(u, e)
 
 
 @dataclass(frozen=True)
@@ -527,12 +536,14 @@ def is_positive_definite(M: np.ndarray) -> bool:
     """True when the symmetric matrix M has a Cholesky factor.
 
     By Sylvester's law of inertia this says whether every eigenvalue of M is
-    positive, at the cost of one factorization and no eigen-solve.  It
-    factors the view ``M.T``, which f2py copies without a transpose when M
-    is C-ordered; M itself is never overwritten.
+    positive, at the cost of one factorization and no eigen-solve.  M is
+    exactly symmetric, so M and its view ``M.T`` hold the same entries: it
+    factors whichever is Fortran-ordered (a Jacobian is, a C-ordered matrix's
+    view is), which f2py copies without a transpose; M itself is never
+    overwritten.
     """
     try:
-        cho_factor(M.T)
+        cho_factor(M if M.flags.f_contiguous else M.T)
     except np.linalg.LinAlgError:
         return False
     return True

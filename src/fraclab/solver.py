@@ -14,11 +14,14 @@ A is linear.  The nonlinearity is spelled once, in ``operator.source``.
 
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
-ladder over the torsion-like profile, checked for every rung in one pass
-because A(w + M z) = A w + M A z, the largest lam at which a rung validates
-in closed form, and the monotone iteration that climbs from the pure
-singular solution to the minimal solution of the full problem by warm
-Newton solves with the frozen source lam u^{crit-1}.
+ladder over the torsion-like profile, the largest lam at which a rung
+validates in closed form, and the monotone iteration that climbs from the
+pure singular solution to the minimal solution of the full problem by warm
+Newton solves with the frozen source lam u^{crit-1}.  A rung's defect is
+c - lam b with lam-free c and b, and A(w + M z) = A w + M A z, so c and b
+are evaluated for every rung in one pass; for the default ladder that pass
+runs once per system and q and is kept on the system, and every scan and
+the closed-form threshold read the same arrays.
 
 w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
@@ -256,6 +259,21 @@ def _ladder_defects(system: DiscreteSystem, params: ProblemParams, multipliers):
     return ub, c, b
 
 
+def _default_ladder(system: DiscreteSystem, params: ProblemParams):
+    """``_ladder_defects`` over ``default_multiplier_ladder``, read-only.
+
+    (ub, c, b) do not depend on lam, so they are evaluated once per system,
+    q and s (b reads the critical exponent from ``params``) and kept on the
+    system: ``ladder_thresholds`` and the scans that confirm its bracket
+    share one evaluation.
+    """
+    def evaluate():
+        ladder = _ladder_defects(system, params, default_multiplier_ladder())
+        return tuple(read_only(a) for a in ladder)
+
+    return system.memo(("ladder", params.q, params.s), evaluate)
+
+
 def _worst_defects(c, b, lam: float):
     """Each rung's minimum defect c - lam b; at lam = 0 an overflowed b plays no part."""
     with np.errstate(over="ignore"):
@@ -293,14 +311,16 @@ def build_supersolution(
 def scan_supersolution(system: DiscreteSystem, params: ProblemParams) -> SupersolutionResult:
     """Scan ``default_multiplier_ladder`` for the first valid supersolution.
 
-    Every rung is checked in one pass (see ``build_supersolution`` for the
-    verdict).  The first multiplier that validates wins and ``attempts`` is
-    its 1-based position on the ladder; when none does, the result carries
-    valid=False, ``attempts`` is the ladder length and ``worst_defect``
-    reports the best (largest) minimum defect across the ladder.
+    Every rung is checked at once from the system's cached ladder defects
+    (see ``build_supersolution`` for the verdict).  The first multiplier
+    that validates wins and ``attempts`` is its 1-based position on the
+    ladder; ``values`` is a copy of its candidate.  When none does, the
+    result carries valid=False, ``attempts`` is the ladder length and
+    ``worst_defect`` reports the best (largest) minimum defect across the
+    ladder.
     """
     ladder = default_multiplier_ladder()
-    ub, c, b = _ladder_defects(system, params, ladder)
+    ub, c, b = _default_ladder(system, params)
     worst = _worst_defects(c, b, params.lam)
     valid = worst >= -ORDER_SLACK
     if not valid.any():
@@ -328,7 +348,7 @@ def ladder_thresholds(system: DiscreteSystem, params: ProblemParams) -> tuple:
     verdict there rests on rounding); at lam_0 some rung's defect is >= 0 at
     every node, at lam_2 every rung's is <= -2 ORDER_SLACK at some node.
     """
-    _, c, b = _ladder_defects(system, params, default_multiplier_ladder())
+    _, c, b = _default_ladder(system, params)
     # a b that underflows to 0 gives +-inf: the node bounds no lam, or every lam
     with np.errstate(divide="ignore", over="ignore"):
         return tuple(float(((c + k * ORDER_SLACK) / b).min(axis=1).max()) for k in range(3))

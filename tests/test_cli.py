@@ -278,7 +278,7 @@ def test_every_factored_matrix_is_fortran_ordered(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, recording)
     for argv in (["pure-singular"], ["lambda-star"], ["solve", "--lambda", "0.03"],
-                 ["mountain-pass", "--lambda", "0.02"]):
+                 ["mountain-pass", "--lambda", "0.02"], ["validate"]):
         rc, _ = run(tmp_path / argv[0], *argv, "--s", "0.4", "--q", "2", "--N", "64")
         assert rc == 0
     assert calls == {
@@ -444,6 +444,35 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     rc, _ = run(tmp_path, "pure-singular", "--config", str(cfgfile))
     assert rc == 2
     assert "wibble" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys):
+    """one parser serves every ``main``; no flag or config key of a call reaches the next"""
+    parser = fraclab.cli._make_parser()
+    assert fraclab.cli._make_parser() is parser
+    assert parser.parse_args(["sweep", "--second"]).second
+    assert not parser.parse_args(["sweep"]).second
+    assert parser.parse_args(["mountain-pass", "--trace", "t.jsonl"]).trace == "t.jsonl"
+    assert parser.parse_args(["mountain-pass"]).trace is None
+
+    flags = ("--s", "0.4", "--q", "2", "--N", "32")
+    rc, _ = run(tmp_path / "a", "solve", *flags, "--lambda", "0.03")
+    assert rc == 0
+    rc, _ = run(tmp_path / "b", "solve", *flags)
+    assert rc == 2
+    assert "needs exactly one positive --lambda" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("lambda=0.03\nn=40\n")
+    rc, out = run(tmp_path / "c", "solve", "--config", str(cfgfile), "--s", "0.4", "--q", "2")
+    assert rc == 0
+    assert load_manifest(out / "manifest.json")["config"]["n"] == 40
+    rc, out = run(tmp_path / "d", "pure-singular", "--s", "0.4", "--q", "2")
+    assert rc == 0
+    snapshot = load_manifest(out / "manifest.json")["config"]
+    assert (snapshot["n"], snapshot["lam"], snapshot["lams"]) == (256, None, [])
+    rc, _ = run(tmp_path / "e", "solve", *flags)
+    assert rc == 2
+    assert "needs exactly one positive --lambda" in capsys.readouterr().err
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -291,6 +291,16 @@ def test_solve_dirichlet_check_is_scale_free(system64):
     np.testing.assert_allclose(u, 1e300 * solve_dirichlet(system64, 1.0), rtol=1e-13)
 
 
+def test_solve_dirichlet_keeps_a_subnormal_load():
+    """a load near 2e-313 has few digits left; solved as is, its residual check failed"""
+    system = assemble(build_grid(-1.0, 1.0, 8), 0.25)
+    g = np.random.default_rng(0).random(8)
+    u = solve_dirichlet(system, 2.2250738585e-313 * g)
+    np.testing.assert_allclose(u, 2.2250738585e-313 * solve_dirichlet(system, g), rtol=1e-6)
+    # no scaled value leaves the normal range: the result is the unscaled solve's
+    np.testing.assert_array_equal(solve_dirichlet(system, g), system.solve(system.massw * g))
+
+
 def test_solve_dirichlet_residual_and_positivity(system64):
     u = solve_dirichlet(system64, 1.0)
     r = system64.stiffness @ u - system64.massw

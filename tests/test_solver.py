@@ -493,6 +493,87 @@ def test_scan_evaluates_no_full_defect(system128, params_s04q2, monkeypatch):
     assert not calls
 
 
+def test_lambda_star_evaluates_the_ladder_once_per_q(monkeypatch):
+    """the thresholds and both confirming scans read one evaluation of the ladder"""
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)  # fresh: nothing cached yet
+    params = ProblemParams(s=0.4, q=2.0)
+    calls = []
+    real = fraclab.solver._ladder_defects
+
+    def counting(*args):
+        calls.append(args[1].q)
+        return real(*args)
+
+    monkeypatch.setattr(fraclab.solver, "_ladder_defects", counting)
+    estimate_lambda_star(system, params)
+    assert calls == [2.0]
+    # lam plays no part in the ladder; another q is another ladder
+    estimate_lambda_star(system, params.with_lam(0.01))
+    estimate_lambda_star(system, ProblemParams(s=0.4, q=1.0))
+    assert calls == [2.0, 1.0]
+
+
+def _scan_fields(res):
+    return (res.valid, res.multiplier, res.worst_defect, res.attempts)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_memoized_ladder_matches_a_fresh_evaluation(q):
+    """bit for bit: the cache, and the thresholds and scans that read it"""
+    grid = build_grid(-1.0, 1.0, 64)
+    system = assemble(grid, 0.4)
+    params = ProblemParams(s=0.4, q=q)
+    res = estimate_lambda_star(system, params)
+    fresh = fraclab.solver._ladder_defects(system, params, default_multiplier_ladder())
+    for cached, direct in zip(fraclab.solver._default_ladder(system, params), fresh):
+        np.testing.assert_array_equal(cached, direct)
+    # a new system has nothing cached: each call below evaluates the ladder anew
+    thresholds = ladder_thresholds(assemble(grid, 0.4), params)
+    assert ladder_thresholds(system, params) == thresholds
+    assert (res.bracket[0], res.estimate, res.bracket[1]) == thresholds
+    for lam in res.bracket:
+        p = params.with_lam(lam)
+        memoized = scan_supersolution(system, p)
+        unmemoized = scan_supersolution(assemble(grid, 0.4), p)
+        assert _scan_fields(memoized) == _scan_fields(unmemoized)
+        if unmemoized.valid:
+            np.testing.assert_array_equal(memoized.values, unmemoized.values)
+        else:
+            assert memoized.values is None
+
+
+def test_memoized_ladder_is_read_only(system128, params_s04q2):
+    ladder = fraclab.solver._default_ladder(system128, params_s04q2)
+    assert fraclab.solver._default_ladder(system128, params_s04q2.with_lam(0.03)) is ladder
+    for a in ladder:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        ladder[1][0, 0] = 0.0
+    # a scan hands out a copy of its rung, which the caller may change
+    res = scan_supersolution(system128, params_s04q2.with_lam(0.03))
+    assert res.values.flags.writeable
+    assert not np.shares_memory(res.values, ladder[0])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.03, 0.1])
+def test_one_rung_supersolution_is_a_row_of_the_scan(system128, params_s04q2, lam):
+    p = params_s04q2.with_lam(lam)
+    ub, c, b = fraclab.solver._default_ladder(system128, p)
+    worst = fraclab.solver._worst_defects(c, b, lam)
+    for k, M in enumerate(default_multiplier_ladder()):
+        one = build_supersolution(system128, p, M)
+        np.testing.assert_array_equal(one.values, ub[k])
+        assert one.worst_defect == worst[k]
+        assert one.valid == (worst[k] >= -ORDER_SLACK)
+    scan = scan_supersolution(system128, p)
+    if scan.valid:
+        one = build_supersolution(system128, p, scan.multiplier)
+        np.testing.assert_array_equal(one.values, scan.values)
+        assert one.worst_defect == scan.worst_defect
+    else:
+        assert scan.worst_defect == worst.max()
+
+
 def test_lambda_star_near_half_order_stays_silent():
     """rungs whose critical term overflows (crit = 100) fail without warnings"""
     system = assemble(build_grid(-1.0, 1.0, 64), 0.49)

@@ -55,9 +55,17 @@ Fortran-ordered, which f2py copies without a transpose because they may
 not overwrite it.  The factors and solves are bit for bit those of the
 C-ordered matrices.  A Jacobian plus factor plus solve went from 4.7 to
 2.2 ms (Cholesky) at N = 512 and from 1.0 to 0.55 ms (LU) at N = 256 on a
-shared 2-vCPU x86-64 host.  The mountain-pass band's inverse, stacked
-products and ``eigh`` keep their layouts: the band's outcome follows
-their bits.
+shared 2-vCPU x86-64 host.  The mountain-pass band's inverse and stacked
+products keep their layouts: the band's outcome follows their bits.
+
+The package's one eigensolve is ``_lowest``, behind ``principal_eigenpair``.
+The lumped mass is diagonal, so the pencil (A, diag(massw)) is the standard
+symmetric problem of A / (r r^T), r = sqrt(massw): one ``eigh`` of its
+Fortran-ordered view, with no Cholesky of the mass and no reduction to
+standard form, about 40% less time than a generalized solve at N = 512 on
+the host above.  Its bits are not a generalized solve's: lam1 differs by up
+to 2.7e-14 relative and the mode by up to 1.8e-14 at N <= 1024, and each
+lies within 1.7e-14 of an extended-precision Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -515,8 +523,10 @@ def principal_eigenpair(system: DiscreteSystem) -> SpectralData:
 
     The pencil splits into the even and the odd block, so the smallest
     eigenvalue of the full pencil is the smaller of the two blocks' lowest.
-    An odd mode changes sign: when the odd block holds the lowest eigenvalue
-    the mode is rejected, and the message names both block eigenvalues.  The
+    The even block's lowest pair comes from ``_lowest``, one standard
+    symmetric eigensolve of the block scaled by its diagonal mass.  An odd
+    mode changes sign: when the odd block holds the lowest eigenvalue the
+    mode is rejected, and the message names both block eigenvalues.  The
     odd block needs no eigen-solve for that test: its lowest eigenvalue lies
     above lam1 exactly when A_o - lam1 M_o is positive definite, and it is
     computed only to name it in the message.
@@ -528,8 +538,19 @@ def principal_eigenpair(system: DiscreteSystem) -> SpectralData:
 
 
 def _lowest(stiffness: np.ndarray, massw: np.ndarray) -> tuple:
-    vals, vecs = eigh(stiffness, np.diag(massw), subset_by_index=[0, 0])
-    return float(vals[0]), vecs[:, 0]
+    """Lowest eigenpair (lam, y) of the pencil (A, diag(massw)): A y = lam massw y.
+
+    The mass is diagonal, so with r = sqrt(massw) the pencil is the standard
+    symmetric problem C z = lam z, C = A / (r r^T), y = z / r: one ``eigh``,
+    with no Cholesky of the mass and no reduction.  C is exactly symmetric
+    (A is, and r_i r_j = r_j r_i), so LAPACK takes its Fortran-ordered view
+    ``C.T`` without a copy and may overwrite it.  This is the package's one
+    eigensolve.
+    """
+    r = np.sqrt(massw)
+    c = stiffness / np.outer(r, r)
+    vals, vecs = eigh(c.T, overwrite_a=True, subset_by_index=[0, 0])
+    return float(vals[0]), vecs[:, 0] / r
 
 
 def is_positive_definite(M: np.ndarray) -> bool:

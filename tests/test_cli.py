@@ -22,7 +22,7 @@ from fraclab import (
     holder_fit,
 )
 from fraclab.cli import RunConfig, main
-from fraclab.store import emit_plot_data, load_manifest, sha256_file
+from fraclab.store import emit_plot_data, load_manifest, sha256_file, write_json
 
 
 def run(tmp_path, *argv):
@@ -377,6 +377,34 @@ def test_plot_rerun_is_byte_identical(tmp_path):
                   "--lambda", "0.01,0.03", "--N", "48")
     assert (out1 / "sweep_minimal.dat").read_bytes() == (out2 / "sweep_minimal.dat").read_bytes()
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def _clean_by_element(obj):
+    # the reference: ``store._clean`` with every array going element by element
+    if isinstance(obj, dict):
+        return {k: _clean_by_element(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean_by_element(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_clean_by_element(float(v)) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def test_json_arrays_write_the_bytes_of_the_element_loop(tmp_path):
+    payload = {
+        "finite": np.linspace(-1.0, 1.0, 1024) ** 3 / 7.0,
+        "special": np.array([1.5, np.inf, -np.inf, np.nan, -0.0, 5e-324]),
+        "ints": np.arange(5),
+        "empty": np.array([]),
+        "nested": [np.array([0.1, -0.0]), (np.float64(2.0), np.int64(3))],
+    }
+    write_json(tmp_path / "a.json", payload)
+    expected = json.dumps(_clean_by_element(payload), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "a.json").read_bytes() == expected.encode()
 
 
 def test_empty_diagram_emits_warning_not_files(tmp_path):

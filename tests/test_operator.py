@@ -10,6 +10,7 @@ is exactly the class of error a single-route test cannot see.
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -411,16 +412,25 @@ def test_principal_eigenpair_matches_full_pencil(s, n):
 
 
 def test_odd_lowest_mode_is_diagnosed():
-    """small s on a coarse grid: the lowest mode is an odd sawtooth, and the error says so"""
+    """small s on a coarse grid: the lowest mode is an odd sawtooth, and the error says so
+
+    The block eigenvalues in the message come from the standard eigensolve
+    of the scaled pencil; they match the generalized solve's to 1e-13
+    relative, not bit for bit.
+    """
     system = assemble(build_grid(-1.0, 1.0, 64), 0.1)
     even = system.even
-    even_val = eigh(even.stiffness, np.diag(even.massw), eigvals_only=True,
-                    subset_by_index=[0, 0])[0]
+    odd_a, odd_m = _parity_block(system, -1.0)
+    refs = [eigh(a, np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0]
+            for a, m in ((even.stiffness, even.massw), (odd_a, odd_m))]
     with pytest.raises(ConvergenceError) as info:
         principal_eigenpair(system)
     msg = str(info.value)
     assert msg.startswith("principal mode is not strictly positive: lowest mode is odd")
-    assert f"even block {float(even_val)!r}" in msg
+    found = re.search(r"\(even block (\S+), odd block (\S+)\)$", msg)
+    assert found is not None
+    for value, ref in zip(map(float, found.groups()), refs):
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.4, 0.45])
@@ -547,6 +557,26 @@ def test_no_matrix_product_outside_row_products():
                 (inside if any(a <= node.lineno <= b for a, b in spans) else stray).append(hit)
     assert stray == []
     assert len(inside) == 2
+
+
+def test_one_eigensolve_in_the_package():
+    """Every call of an eigensolver (``eigh``, ``eigvalsh``, any ``eig*``) in
+    the package is the one ``eigh`` in ``operator._lowest``, so the spectral
+    path stays one: the principal eigenpair, the certificate, the Sobolev
+    descent's start and the odd block's message all read it.
+    """
+    sites = []
+    for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {node: f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if callee.startswith("eig"):
+                    sites.append((path.name, owners.get(node), callee))
+    assert sites == [("operator.py", "_lowest", "eigh")]
 
 
 def test_nonlinearity_is_spelled_in_operator_only():

@@ -23,19 +23,19 @@ from .bifurcation import BifurcationDiagram, HolderFit
 def _clean(obj):
     """Replace non-finite floats so json stays standard-compliant.
 
-    A float array with finite entries only becomes its ``tolist()``: the
-    same Python floats the element loop makes, so the same bytes, about 60
-    times faster for a 1024-node field.  Any other array (one with a
-    non-finite entry, an integer array) goes element by element.
+    An array becomes the list of its entries as Python floats, by one
+    ``tolist()``, with each non-finite entry replaced by its ``repr``.
     """
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()
-        return [_clean(float(v)) for v in obj]
+        values = np.asarray(obj, dtype=float)
+        out = values.tolist()
+        for i in np.flatnonzero(~np.isfinite(values)):
+            out[i] = repr(out[i])
+        return out
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):

@@ -9,7 +9,8 @@ singular nonlinearity: u^{1-q}/(1-q) for q != 1 and log u for q = 1.
 Minimal solutions are local minimizers on the cone above the pure singular
 solution; a second solution appears at a mountain-pass level.  It is
 located here by a climbing elastic band over a path of bubble
-perturbations, whose highest sample seeds a Newton polish.  The minimal
+perturbations, whose highest sample seeds a Newton polish; a band that
+spends its budget falls back to Newton continuation in lam.  The minimal
 solution is even and the bubble centred, so the band and the polish run on
 the system's even block, and the band is held as one array: a sweep moves
 every sample with one stacked defect, one solve and one A-product.  The
@@ -50,6 +51,11 @@ MP_MAX_SWEEPS = 600
 MP_NEWTON_EVERY = 10
 MP_DISTINCT_TOL = 1e-2
 MP_BUBBLE_EPS = 0.02
+# A band that spends its budget falls back to the band at
+# (1 - MP_FALLBACK_DROP) lam, whose point Newton carries to lam in
+# MP_CONTINUATION_STEPS steps of lam.
+MP_FALLBACK_DROP = 0.15
+MP_CONTINUATION_STEPS = 16
 
 # Iteration budget of the projected-gradient descent in sobolev_constant.
 SOBOLEV_MAX_ITER = 2000
@@ -375,9 +381,20 @@ def mountain_pass_search(
     full space.  A base that is not reflection-even to 1e-12 relative
     raises ParameterError.
 
+    A band that spends MP_MAX_SWEEPS sweeps falls back to
+    ``_continue_from_below``: the band at (1 - MP_FALLBACK_DROP) lam, whose
+    point Newton carries back to lam.  Near s = 0.35, q = 0.5,
+    lam ~ 0.0121-0.0124 the band creeps along a shallow direction and
+    whether it ends in time follows the last bits; the fallback reaches the
+    point the band reaches when it ends in time.  A fallback appends one record (stage
+    ``fallback``: its lam and its band's sweeps) and one per continuation
+    step (stage ``continue``: lam and Newton iterations) to ``trace``.
+
     Returns the lifted second solution and its ``measure`` on the
-    ``mountain-pass`` branch in the full system.  Raises ConvergenceError
-    when MP_MAX_SWEEPS sweeps locate no such point.
+    ``mountain-pass`` branch in the full system, whose iterations count
+    the sweeps of every band run.  Raises ConvergenceError when neither the
+    band nor its fallback locates such a point; the message starts with the
+    band's sweep budget.
     """
     if params.lam <= 0.0:
         raise ParameterError("a second solution needs lam > 0")
@@ -385,6 +402,22 @@ def mountain_pass_search(
     if first.min() <= 0.0:
         raise ParameterError("the base solution must be strictly positive")
     base = system.even_half(first, "the base solution")
+    found, sweeps, last = _band(system, params, base, trace)
+    if found is None:
+        failure = (f"no distinct critical point located within {sweeps} sweeps; "
+                   f"last level {last!r}")
+        found, more = _continue_from_below(system, params, base, failure, trace)
+        sweeps += more
+    second = system.lift(found)
+    return second, measure(system, params, second, sweeps, "mountain-pass")
+
+
+def _band(system, params, base, trace):
+    """Climbing elastic band from ``base``, a field of the even block.
+
+    Returns (point, sweeps, last path maximum); the point is None when
+    MP_MAX_SWEEPS sweeps locate none.
+    """
     block = system.even
     A = block.stiffness
     # sweeps solve row by row with A^{-1}: a stacked solve rounds otherwise,
@@ -470,11 +503,44 @@ def mountain_pass_search(
         if (sweep + 1) % MP_NEWTON_EVERY == 0:
             found = _polish_critical_point(system, params, path[jmax], base, base_level)
             if found is not None:
-                break
-    else:
+                return found, sweep + 1, float(levels[jmax])
+    return None, MP_MAX_SWEEPS, float(levels.max())
+
+
+def _continue_from_below(system, params, base, failure, trace):
+    """The band's point at a smaller lam, carried up to lam by Newton.
+
+    The fallback of a band that spends its budget.  At lam_0 =
+    (1 - MP_FALLBACK_DROP) lam the minimal solution is Newton's limit from
+    ``base`` and a band runs from it; its point is then carried to lam by
+    Newton solves at MP_CONTINUATION_STEPS - 1 evenly spaced values, each
+    started from the last, and polished at lam through the acceptance gates
+    of ``_polish_critical_point``.  Fields live on the even block.  Returns
+    (point, the band's sweeps); raises ConvergenceError, its message
+    ``failure`` and the reason, when any stage fails.
+    """
+    block = system.even
+    low = params.with_lam((1.0 - MP_FALLBACK_DROP) * params.lam)
+    try:
+        base_low, _ = newton(block, low, base)
+        v, sweeps, _ = _band(system, low, base_low, None)
+        if v is None:
+            raise ConvergenceError("its band located no point")
+        if trace is not None:
+            trace.append({"stage": "fallback", "lam": low.lam, "sweeps": sweeps})
+        for j in range(1, MP_CONTINUATION_STEPS):
+            p = params.with_lam(low.lam + (params.lam - low.lam) * j / MP_CONTINUATION_STEPS)
+            v, its = newton(block, p, v)
+            if trace is not None:
+                trace.append({"stage": "continue", "lam": p.lam, "newton_iters": its})
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         raise ConvergenceError(
-            f"no distinct critical point located within {MP_MAX_SWEEPS} sweeps; "
-            f"last level {float(levels.max())!r}"
+            f"{failure}; continuation from lam = {low.lam!r} failed: {exc}"
+        ) from None
+    found = _polish_critical_point(system, params, v, base, energy(block, params, base))
+    if found is None:
+        raise ConvergenceError(
+            f"{failure}; continuation from lam = {low.lam!r} reached no distinct point"
         )
-    second = system.lift(found)
-    return second, measure(system, params, second, sweep + 1, "mountain-pass")
+    return found, sweeps
+

@@ -18,11 +18,14 @@ eigenvalues of the full Jacobian, none of which may lie within 1e-6 of
 zero.  Each op's exit, energy (to 1e-10 relative) and index are frozen
 below, so a change that moves bits passes only if it moves no outcome.
 
-Left out on purpose: the window s = 0.35, q = 0.5, lambda ~ 0.0121-0.0123.
+The window s = 0.35, q = 0.5, lambda ~ 0.0121-0.0124 is not among them.
 There the band creeps along the shallow second even direction of the
 Jacobian, and whether it ends within its sweep budget depends on the BLAS
-thread count and on 1-ulp perturbations of the base, so no frozen outcome
-would hold (ROADMAP item 13).
+thread count and on 1-ulp perturbations of the base.  A band that spends
+its budget falls back to the band at 0.85 lambda and Newton continuation,
+which reach the point the band reaches when it ends in time, so the
+window's outcome is frozen too, by one op that runs once: its band spends
+the budget at some bits and ends in time at others.
 """
 
 import numpy as np
@@ -97,3 +100,18 @@ def test_outcome_survives_ulp_perturbations(systems, monkeypatch, s, q, f):
         assert np.abs(second - base).max() <= 1e-10 * np.abs(base).max()
         assert level == pytest.approx(energy, rel=1e-10)
         assert morse == index
+
+
+def test_window_op_reaches_the_even_saddle():
+    # the benchmark's second-branch op 148 at seed 7: the band took 390
+    # sweeps at one commit's bits and spent its 600 at the next commit's
+    a, lam = 0.25, 0.012339939822836982
+    system = assemble(build_grid(a, a + 2.0, N), 0.35)
+    params = ProblemParams(s=0.35, q=0.5, lam=lam)
+    sup = scan_supersolution(system, params)
+    first, rep = monotone_iteration(system, params, bound=sup.values)
+    assert rep.converged
+    second, level, morse = _outcome(system, params, first)
+    assert (second - first).min() >= -1e-8
+    assert level == pytest.approx(-2.323222557624653, rel=1e-10)
+    assert morse == 2

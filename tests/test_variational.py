@@ -315,6 +315,44 @@ def test_mountain_pass_spends_more_than_200_sweeps():
     assert rep.energy > energy(system, p, u_min)
 
 
+def test_spent_band_falls_back_to_continuation_from_below(monkeypatch):
+    # with the band at lam made to spend its budget, the band at
+    # (1 - MP_FALLBACK_DROP) lam and Newton continuation reach its point
+    V = fraclab.variational
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    p = ProblemParams(s=0.4, q=2.0, lam=0.03)
+    u_min, _ = monotone_iteration(system, p)
+    v, _ = mountain_pass_search(system, p, u_min)
+    band = V._band
+    lams = []
+
+    def spent_at(failing):
+        def fake(sy, params, base, trace):
+            lams.append(params.lam)
+            if params.lam in failing:
+                return None, V.MP_MAX_SWEEPS, 0.0
+            return band(sy, params, base, trace)
+        return fake
+
+    low = (1.0 - V.MP_FALLBACK_DROP) * 0.03
+    monkeypatch.setattr(V, "_band", spent_at({0.03}))
+    trace = []
+    w, rep = mountain_pass_search(system, p, u_min, trace=trace)
+    assert lams == [0.03, low]
+    assert rep.converged and rep.residual <= RESIDUAL_TOL
+    assert np.abs(w - v).max() <= 1e-10 * np.abs(v).max()
+    assert rep.iterations > V.MP_MAX_SWEEPS
+    steps = V.MP_CONTINUATION_STEPS - 1
+    assert [r["stage"] for r in trace] == ["fallback"] + ["continue"] * steps
+    assert trace[0]["lam"] == low and trace[-1]["lam"] < 0.03
+
+    monkeypatch.setattr(V, "_band", spent_at({0.03, low}))
+    with pytest.raises(ConvergenceError, match=(
+            f"within {V.MP_MAX_SWEEPS} sweeps; .*continuation from lam = .* failed: "
+            "its band located no point")):
+        mountain_pass_search(system, p, u_min)
+
+
 def test_mountain_pass_on_odd_grid_is_even(params_s04q2):
     # the band runs on the even block, whose middle node is unpaired at odd N
     system = assemble(build_grid(-1.0, 1.0, 127), 0.4)
@@ -354,7 +392,8 @@ def test_band_sweep_is_one_stacked_defect(monkeypatch):
     monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 5)
     with pytest.raises(ConvergenceError, match="within 5 sweeps"):
         mountain_pass_search(system, p, u_min)
-    assert shapes == [(fraclab.variational.MP_SAMPLES - 2, 32)] * 5
+    # five sweeps of the band at lam, five of the fallback's band below it
+    assert shapes == [(fraclab.variational.MP_SAMPLES - 2, 32)] * 10
 
 
 @pytest.fixture(scope="module")

@@ -103,8 +103,9 @@ def test_outcome_survives_ulp_perturbations(systems, monkeypatch, s, q, f):
 
 
 def test_window_op_reaches_the_even_saddle():
-    # the benchmark's second-branch op 148 at seed 7: the band took 390
-    # sweeps at one commit's bits and spent its 600 at the next commit's
+    # the benchmark's second-branch op 148 at seed 7: the band ends in 390
+    # sweeps under the generalized eigensolve's Sobolev constant and spends
+    # its 600 under the standard one's, 5.7e-14 away
     a, lam = 0.25, 0.012339939822836982
     system = assemble(build_grid(a, a + 2.0, N), 0.35)
     params = ProblemParams(s=0.35, q=0.5, lam=lam)

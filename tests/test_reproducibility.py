@@ -105,7 +105,7 @@ def test_outcome_survives_ulp_perturbations(systems, monkeypatch, s, q, f):
 def test_window_op_reaches_the_even_saddle():
     # the benchmark's second-branch op 148 at seed 7: the band ends in 390
     # sweeps under the generalized eigensolve's Sobolev constant and spends
-    # its 600 under the standard one's, 5.7e-14 away
+    # its 600 under the standard one's
     a, lam = 0.25, 0.012339939822836982
     system = assemble(build_grid(a, a + 2.0, N), 0.35)
     params = ProblemParams(s=0.35, q=0.5, lam=lam)

@@ -3,9 +3,16 @@
 Subcommands: solve, pure-singular, sweep, lambda-star, mountain-pass,
 regularity, validate.  Flags may come from a KEY=VALUE config file
 (--config), with explicit flags taking precedence; the output directory can
-also arrive through the FRACLAB_OUTPUT_DIR environment variable.  Exit
-codes: 0 success, 2 parameter or usage rejection, 3 non-convergence or a
-failed validation.
+also arrive through the FRACLAB_OUTPUT_DIR environment variable.
+
+``main`` is the one driver.  ``build_config`` layers and checks every
+parameter; ``main`` then creates the output directory, runs the
+subcommand's handler and writes ``manifest.json`` last.  A handler
+``cmd_x(cfg, args)`` writes its result files into ``cfg.output_dir`` and
+returns (files, reports, exit code); one that fails after writing some
+outputs prints why and returns 3, so the manifest lists what it wrote.
+Exit codes: 0 success, 2 parameter or usage rejection (an unusable output
+directory or trace file too), 3 non-convergence or a failed validation.
 """
 
 from __future__ import annotations
@@ -90,13 +97,6 @@ class RunConfig:
         d["lams"] = list(self.lams)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        if "lams" in d:
-            d["lams"] = tuple(float(x) for x in d["lams"])
-        return cls(**d)
-
 
 def _parse_float_list(text: str) -> tuple:
     try:
@@ -136,7 +136,11 @@ _FILE_KEYS = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, then the config file, then explicit flags."""
+    """Layer defaults, then the config file, then explicit flags; reject every bad value.
+
+    Runs before the output directory exists.  It opens (and empties) a
+    ``--trace`` file, so an unusable path fails before any solve.
+    """
     layered: dict = {}
     if args.config:
         raw = read_config_file(args.config)
@@ -162,6 +166,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         layered["output_dir"] = os.environ[ENV_OUTPUT_DIR]
     cfg = replace(RunConfig(), **layered)
     cfg.validate()
+    if args.command in ("solve", "mountain-pass") and (cfg.lam is None or cfg.lam <= 0.0):
+        raise ParameterError("this command needs exactly one positive --lambda")
+    if args.command == "sweep" and not cfg.lams:
+        raise ParameterError("sweep needs --lambda with one or more values")
+    if getattr(args, "trace", None):
+        try:
+            open(args.trace, "w").close()
+        except OSError as exc:
+            raise ParameterError(f"cannot open trace file {args.trace}: {exc}") from exc
     return cfg
 
 
@@ -181,19 +194,8 @@ def _solution_payload(grid, params, u, report) -> dict:
     }
 
 
-def _require_single_lam(cfg: RunConfig) -> float:
-    if cfg.lam is None or cfg.lam <= 0.0:
-        raise ParameterError("this command needs exactly one positive --lambda")
-    return cfg.lam
-
-
-def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
-
-
-def cmd_pure_singular(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_pure_singular(cfg: RunConfig, args) -> tuple:
+    out = cfg.output_dir
     grid, system, params = _setup(cfg)
     u, rep = solve_pure_singular(system, params)
     files = [
@@ -202,14 +204,12 @@ def cmd_pure_singular(cfg: RunConfig) -> int:
         write_plot(os.path.join(out, "pure_singular_profile.dat"),
                    grid.nodes, u, "x u"),
     ]
-    write_manifest(out, cfg.to_dict(), {"pure-singular": asdict(rep)}, files, __version__)
-    return 0 if rep.converged else 3
+    return files, {"pure-singular": asdict(rep)}, 0 if rep.converged else 3
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    lam = _require_single_lam(cfg)
-    out = _outdir(cfg)
-    grid, system, params = _setup(cfg, lam)
+def cmd_solve(cfg: RunConfig, args) -> tuple:
+    out = cfg.output_dir
+    grid, system, params = _setup(cfg, cfg.lam)
     sup = scan_supersolution(system, params)
     u, rep = monotone_iteration(system, params, bound=sup.values if sup.valid else None)
     payload = _solution_payload(grid, params, u, rep)
@@ -223,16 +223,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     if rep.converged:
         files.append(write_plot(os.path.join(out, "solution_profile.dat"),
                                 grid.nodes, u, "x u"))
-    write_manifest(out, cfg.to_dict(), {"solve": asdict(rep)}, files, __version__)
-    return 0 if rep.converged else 3
+    return files, {"solve": asdict(rep)}, 0 if rep.converged else 3
 
 
-def cmd_sweep(cfg: RunConfig, second: bool) -> int:
-    if not cfg.lams:
-        raise ParameterError("sweep needs --lambda with one or more values")
-    out = _outdir(cfg)
+def cmd_sweep(cfg: RunConfig, args) -> tuple:
+    out = cfg.output_dir
     grid, system, params = _setup(cfg)
-    diagram = sweep_lambda(system, params, cfg.lams, second=second)
+    diagram = sweep_lambda(system, params, cfg.lams, second=args.second)
     rows = [
         {
             "lambda": e.lam,
@@ -254,12 +251,10 @@ def cmd_sweep(cfg: RunConfig, second: bool) -> int:
     ]
     files.extend(emit_plot_data(diagram, out, "sweep"))
     converged_any = any(e.converged for e in diagram.entries)
-    write_manifest(out, cfg.to_dict(), {"sweep": {"entries": len(rows)}}, files, __version__)
-    return 0 if converged_any else 3
+    return files, {"sweep": {"entries": len(rows)}}, 0 if converged_any else 3
 
 
-def cmd_lambda_star(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_lambda_star(cfg: RunConfig, args) -> tuple:
     grid, system, params = _setup(cfg)
     res = estimate_lambda_star(system, params)
     payload = {
@@ -271,50 +266,44 @@ def cmd_lambda_star(cfg: RunConfig) -> int:
             for lam, feasible, multiplier in res.evaluations
         ],
     }
-    files = [write_json(os.path.join(out, "lambda_star.json"), payload)]
-    write_manifest(out, cfg.to_dict(), {"lambda-star": {"estimate": res.estimate}},
-                   files, __version__)
-    return 0
+    files = [write_json(os.path.join(cfg.output_dir, "lambda_star.json"), payload)]
+    return files, {"lambda-star": {"estimate": res.estimate}}, 0
 
 
-def cmd_mountain_pass(cfg: RunConfig, trace_path: str | None) -> int:
-    lam = _require_single_lam(cfg)
-    out = _outdir(cfg)
-    grid, system, params = _setup(cfg, lam)
+def cmd_mountain_pass(cfg: RunConfig, args) -> tuple:
+    out = cfg.output_dir
+    grid, system, params = _setup(cfg, cfg.lam)
     sup = scan_supersolution(system, params)
     first, frep = monotone_iteration(system, params, bound=sup.values if sup.valid else None)
     files = [
         write_json(os.path.join(out, "first_solution.json"),
                    _solution_payload(grid, params, first, frep)),
     ]
+    reports = {"first": asdict(frep)}
     if not frep.converged:
-        write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print("minimal branch did not converge; no base point", file=sys.stderr)
-        return 3
-    trace = [] if trace_path else None
+        return files, reports, 3
+    trace = [] if args.trace else None
     try:
         second, srep = mountain_pass_search(system, params, first, trace=trace)
     except ConvergenceError as exc:
-        write_manifest(out, cfg.to_dict(), {"first": asdict(frep)}, files, __version__)
         print(f"mountain pass failed: {exc}", file=sys.stderr)
-        return 3
+        return files, reports, 3
     finally:
-        if trace_path and trace is not None:
-            with open(trace_path, "w") as f:
+        if trace is not None:
+            with open(args.trace, "w") as f:
                 for entry in trace:
                     f.write(json.dumps(entry, sort_keys=True) + "\n")
     payload = _solution_payload(grid, params, second, srep)
     payload["sobolev"] = sobolev_constant(system)
     payload["separation"] = abs(float(second.max()) - float(first.max())) / float(first.max())
     files.append(write_json(os.path.join(out, "second_solution.json"), payload))
-    write_manifest(out, cfg.to_dict(),
-                   {"first": asdict(frep), "second": asdict(srep)},
-                   files, __version__)
-    return 0
+    reports["second"] = asdict(srep)
+    return files, reports, 0
 
 
-def cmd_regularity(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_regularity(cfg: RunConfig, args) -> tuple:
+    out = cfg.output_dir
     grid, system, params = _setup(cfg)
     u, rep = solve_pure_singular(system, params)
     fit = holder_fit(grid, params, u)
@@ -327,8 +316,7 @@ def cmd_regularity(cfg: RunConfig) -> int:
     }
     files = [write_json(os.path.join(out, "regularity.json"), payload)]
     files.extend(emit_plot_data(fit, out, "regularity"))
-    write_manifest(out, cfg.to_dict(), {"regularity": payload["fit"]}, files, __version__)
-    return 0 if rep.converged else 3
+    return files, {"regularity": payload["fit"]}, 0 if rep.converged else 3
 
 
 def _run_validate_battery(cfg: RunConfig) -> tuple:
@@ -458,15 +446,13 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
     return lines, ok_all
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
+def cmd_validate(cfg: RunConfig, args) -> tuple:
     lines, ok = _run_validate_battery(cfg)
-    report_path = os.path.join(out, "validate_report.txt")
+    report_path = os.path.join(cfg.output_dir, "validate_report.txt")
     with open(report_path, "w") as f:
         f.write("\n".join(lines) + "\n")
-    write_manifest(out, cfg.to_dict(), {"validate": {"passed": ok}}, [report_path], __version__)
     print(lines[-1])
-    return 0 if ok else 3
+    return [report_path], {"validate": {"passed": ok}}, 0 if ok else 3
 
 
 @lru_cache(maxsize=None)
@@ -498,28 +484,36 @@ def _make_parser() -> argparse.ArgumentParser:
     # another flag is exactly the kind of mix-up a parameter-heavy tool must reject
     kw = {"parents": [common], "allow_abbrev": False}
     p = sub.add_parser("solve", help="minimal solution at one lambda", **kw)
-    p.set_defaults(run=lambda cfg, args: cmd_solve(cfg))
+    p.set_defaults(run=cmd_solve)
     p = sub.add_parser("pure-singular", help="solution without the critical term", **kw)
-    p.set_defaults(run=lambda cfg, args: cmd_pure_singular(cfg))
+    p.set_defaults(run=cmd_pure_singular)
     p = sub.add_parser("sweep", help="branch diagram over lambda values", **kw)
     p.add_argument("--second", action="store_true", help="also trace the second branch")
-    p.set_defaults(run=lambda cfg, args: cmd_sweep(cfg, args.second))
+    p.set_defaults(run=cmd_sweep)
     p = sub.add_parser("lambda-star", help="ladder lower bound of the extremal parameter", **kw)
-    p.set_defaults(run=lambda cfg, args: cmd_lambda_star(cfg))
+    p.set_defaults(run=cmd_lambda_star)
     p = sub.add_parser("mountain-pass", help="second solution at one lambda", **kw)
     p.add_argument("--trace", dest="trace", help="stream sweep diagnostics to a JSON-lines file")
-    p.set_defaults(run=lambda cfg, args: cmd_mountain_pass(cfg, args.trace))
+    p.set_defaults(run=cmd_mountain_pass)
     p = sub.add_parser("regularity", help="boundary exponent of the singular profile", **kw)
-    p.set_defaults(run=lambda cfg, args: cmd_regularity(cfg))
+    p.set_defaults(run=cmd_regularity)
     p = sub.add_parser("validate", help="deterministic invariant battery", **kw)
-    p.set_defaults(run=lambda cfg, args: cmd_validate(cfg))
+    p.set_defaults(run=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        return args.run(build_config(args), args)
+        cfg = build_config(args)
+        try:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot create output directory {cfg.output_dir}: {exc}") from exc
+        files, reports, code = args.run(cfg, args)
+        write_manifest(cfg.output_dir, cfg.to_dict(), reports, files, __version__)
+        return code
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

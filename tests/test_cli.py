@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, file contracts, determinism."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -68,18 +69,55 @@ def test_config_snapshot_roundtrip(tmp_path):
                   "--lambda", "0.03", "--N", "48")
     assert rc == 0
     snapshot = load_manifest(out / "manifest.json")["config"]
-    cfg = RunConfig.from_dict(snapshot)
-    assert cfg.to_dict() == snapshot
-    assert cfg.n == 48
-    assert cfg.lam == 0.03
+    cfg = RunConfig(s=0.4, q=2.0, lam=0.03, lams=(0.03,), n=48, output_dir=str(out))
+    assert snapshot == cfg.to_dict()
+    assert snapshot["n"] == 48
+    assert snapshot["lam"] == 0.03
 
 
 def test_rejects_order_beyond_dimension(tmp_path, capsys):
-    rc, _ = run(tmp_path, "solve", "--s", "0.9", "--q", "1", "--N", "64")
+    # without --lambda too: the parameter check reports n > 2s first
+    rc, out = run(tmp_path, "solve", "--s", "0.9", "--q", "1", "--N", "64")
     assert rc == 2
     err = capsys.readouterr().err
     assert "parameter error" in err
     assert "n > 2s" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "this command needs exactly one positive --lambda"),
+    (["mountain-pass"], "this command needs exactly one positive --lambda"),
+    (["sweep"], "sweep needs --lambda with one or more values"),
+])
+def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv, message):
+    rc, out = run(tmp_path, *argv, "--s", "0.4", "--q", "2", "--N", "32")
+    assert rc == 2
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["is-a-file", "under-a-file"])
+def test_unusable_output_dir_exits_parameter(tmp_path, capsys, inside):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    target = afile / "out" if inside else afile
+    rc = main(["pure-singular", "--N", "16", "--output-dir", str(target)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parameter error: cannot create output directory {target}: ")
+    assert afile.read_text() == "not a directory\n"
+
+
+def test_unusable_trace_path_exits_before_the_search(tmp_path, capsys):
+    trace_file = tmp_path / "nodir" / "t.jsonl"
+    rc, out = run(tmp_path, "mountain-pass", "--s", "0.4", "--q", "2", "--lambda", "0.02",
+                  "--N", "32", "--trace", str(trace_file))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"parameter error: cannot open trace file {trace_file}: ")
+    # rejected before any solve: no first_solution.json without a manifest
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, key, value", [
@@ -525,13 +563,53 @@ def test_validate_deterministic_per_seed(tmp_path, capsys):
     assert stdout.count("RESULT PASS") == 3
 
 
+def _assert_manifest(out, reports):
+    # the manifest lists every other file of the directory with its sha256
+    manifest = load_manifest(out / "manifest.json")
+    names = set(os.listdir(out)) - {"manifest.json"}
+    assert manifest["files"] == {name: sha256_file(out / name) for name in names}
+    assert sorted(manifest["reports"]) == sorted(reports)
+
+
+@pytest.mark.parametrize("argv, code, reports", [
+    (["pure-singular"], 0, ["pure-singular"]),
+    (["solve", "--lambda", "0.03"], 0, ["solve"]),
+    (["solve", "--lambda", "5.0"], 3, ["solve"]),
+    (["sweep", "--lambda", "0.01,0.03", "--second"], 0, ["sweep"]),
+    (["lambda-star"], 0, ["lambda-star"]),
+    (["mountain-pass", "--lambda", "0.02"], 0, ["first", "second"]),
+    (["regularity"], 0, ["regularity"]),
+    (["validate"], 0, ["validate"]),
+], ids=["pure-singular", "solve", "solve-unconverged", "sweep", "lambda-star",
+        "mountain-pass", "regularity", "validate"])
+def test_every_subcommand_manifest(tmp_path, argv, code, reports):
+    rc, out = run(tmp_path, *argv, "--s", "0.4", "--q", "2", "--N", "64")
+    assert rc == code
+    _assert_manifest(out, reports)
+
+
+def test_one_manifest_writer():
+    """``main`` is the one place that creates the output directory and
+    writes the manifest, so every subcommand follows the same protocol."""
+    with open(fraclab.cli.__file__) as f:
+        tree = ast.parse(f.read())
+    owners = {node: f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              for node in ast.walk(f)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if callee in ("write_manifest", "makedirs"):
+                sites.append((owners.get(node), callee))
+    assert sorted(sites) == [("main", "makedirs"), ("main", "write_manifest")]
+
+
 def _assert_first_only(out):
     # a failed mountain-pass run keeps the first solution and a manifest
     # that lists it, with only its report
     assert sorted(os.listdir(out)) == ["first_solution.json", "manifest.json"]
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest["files"] == {"first_solution.json": sha256_file(out / "first_solution.json")}
-    assert list(manifest["reports"]) == ["first"]
+    _assert_manifest(out, ["first"])
 
 
 def test_mountain_pass_budget_exit(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,7 @@ spends its budget falls back to Newton continuation in lam.  The minimal
 solution is even and the bubble centred, so the band and the polish run on
 the system's even block, and the band is held as one array: a sweep moves
 every sample with one stacked defect, one solve and one A-product.  The
-discrete Sobolev constant is computed once per system and kept on it.
+Sobolev constant is the continuum one, in closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .operator import (
     defect,
     energy,
     kernel_constant,
-    principal_eigenpair,
     row_products,
 )
 from .solver import measure, newton
@@ -56,9 +55,6 @@ MP_BUBBLE_EPS = 0.02
 # MP_CONTINUATION_STEPS steps of lam.
 MP_FALLBACK_DROP = 0.15
 MP_CONTINUATION_STEPS = 16
-
-# Iteration budget of the projected-gradient descent in sobolev_constant.
-SOBOLEV_MAX_ITER = 2000
 
 # Concentration scales of the bubble rays in energy_gap_check.
 GAP_EPS_LADDER = (0.08, 0.04, 0.02)
@@ -93,49 +89,24 @@ def critical_quotient(system: DiscreteSystem, u: Field) -> float:
 
 
 def sobolev_constant(system: DiscreteSystem) -> float:
-    """Best constant in the critical embedding on this grid.
+    """Best constant of the critical embedding, in ``critical_quotient``'s units.
 
-    Minimizes (<A u, u> / cns) / |u|_{crit}^2 by projected gradient descent,
-    preconditioned with the system's stiffness factor, from the principal
-    eigenvector (at most SOBOLEV_MAX_ITER steps); the value is computed once
-    per system and kept.  The discrete value decreases under refinement
-    toward the continuum constant.
-    The descent runs in the full space, not on the even block: at even N
-    rounding breaks the start's symmetry and the minimizer ends as a spike
-    on one node beside the midpoint, while a descent kept to even fields
-    stops about 23% higher (4.546 against 3.707 at N = 256, s = 0.4).
+    Cotsiolis & Tavoularis (J. Math. Anal. Appl. 295, 2004) give the
+    continuum constant in the normalization of <A u, u>,
+
+        S_CT = 2^{2s} pi^s Gamma((n+2s)/2) / Gamma((n-2s)/2) (Gamma(n/2)/Gamma(n))^{2s/n},
+
+    which at n = 1 is (2 pi)^{2s} Gamma(1/2 + s) / Gamma(1/2 - s).  The value
+    returned is S_CT / cns, so it depends on s alone, not on the grid.  The
+    discrete minimum of the quotient is no approximation of it: the quotient
+    of a nodal vector does not depend on h, and its minimizer is a spike on
+    one node.  Raises ParameterError unless n > 2s.
     """
-    return system.memo(
-        "sobolev", lambda: _minimize_quotient(system, principal_eigenpair(system).mode)
-    )
-
-
-def _minimize_quotient(system: DiscreteSystem, start: Field) -> float:
     s = system.s
-    ts = critical_exponent(1, s)
-    c = kernel_constant(s)
-    A = system.stiffness
-    mw = system.massw
-    u = np.asarray(start, dtype=float).copy()
-    R = critical_quotient(system, u)
-    alpha = 0.5
-    for _ in range(SOBOLEV_MAX_ITER):
-        den = np.sum(mw * np.abs(u) ** ts)
-        un = u / den ** (1.0 / ts)
-        gR = 2.0 * row_products(A, un) / c - 2.0 * R * mw * np.sign(un) * np.abs(un) ** (ts - 1.0)
-        d = system.solve(gR)
-        ut = un - alpha * d
-        Rt = critical_quotient(system, ut)
-        while Rt > R and alpha > 1e-12:
-            alpha *= 0.5
-            ut = un - alpha * d
-            Rt = critical_quotient(system, ut)
-        done = abs(R - Rt) <= 1e-14 * max(1.0, R)
-        u, R = ut, Rt
-        if done:
-            break
-        alpha = min(alpha * 1.5, 1.0)
-    return float(R)
+    if not 2.0 * s < 1.0:
+        raise ParameterError(f"the critical embedding needs n > 2s, got s = {s}")
+    s_ct = (2.0 * math.pi) ** (2.0 * s) * math.gamma(0.5 + s) / math.gamma(0.5 - s)
+    return float(s_ct / kernel_constant(s))
 
 
 def _quintic_taper(r: np.ndarray) -> np.ndarray:
@@ -172,16 +143,17 @@ def make_bubble(
     """Cutoff extremal profile concentrated at scale eps.
 
     The profile (1 + |y|^2)^{-(1-2s)/2}, normalized to unit critical norm
-    (its norm is pi^{(1-2s)/2} exactly) and rescaled by the estimated best
-    constant, is concentrated at scale eps and multiplied by a quintic taper
-    that is 1 inside radius nu and 0 beyond 2 nu.  The center is the
+    (its norm is pi^{(1-2s)/2} exactly) and rescaled by the best constant
+    ``sobolev``, in ``sobolev_constant``'s units, is concentrated at scale
+    eps, so its width is eps * sobolev^{1/(2s)}, and multiplied by a quintic
+    taper that is 1 inside radius nu and 0 beyond 2 nu.  The center is the
     interval's midpoint.  The default nu is a tenth of the interval length;
     the ball of radius 4 nu about the center must fit inside the interval.
     """
     if not 0.0 < eps < math.inf:
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < sobolev < math.inf:
-        raise ParameterError(f"sobolev estimate must be positive and finite, got {sobolev}")
+        raise ParameterError(f"sobolev constant must be positive and finite, got {sobolev}")
     length = grid.b - grid.a
     if nu is None:
         nu = 0.1 * length
@@ -287,9 +259,12 @@ def energy_gap_check(
 
         I(first) + s * S^{1/(2s)} * lam^{-(1-2s)/(2s)},
 
-    with S the system's Sobolev constant, and also carries the unscaled
-    variant (without the lam factor) for reference, plus whether the peaks
-    decrease as eps shrinks.
+    with S = cns * ``sobolev_constant`` the best constant in the
+    normalization of <A u, u> that ``energy`` uses: along a ray t phi the
+    critical energy 1/2 t^2 <A phi, phi> - (lam/crit) t^crit sum massw phi^crit
+    peaks at s * Q^{1/(2s)} * lam^{-(1-2s)/(2s)}, Q = <A phi, phi> / |phi|_crit^2.
+    The report also carries the unscaled variant (without the lam factor)
+    for reference, plus whether the peaks decrease as eps shrinks.
     """
     if params.lam <= 0.0:
         raise ParameterError("the gap check needs lam > 0")
@@ -300,9 +275,9 @@ def energy_gap_check(
     for eps in GAP_EPS_LADDER:
         bub = make_bubble(system.grid, params, eps, sobolev)
         peaks.append(_ray_peak(system, params, first, bub.values, base_level))
-    power = sobolev ** (1.0 / (2.0 * s))
-    threshold = base_level + s * power * params.lam ** (-(1.0 - 2.0 * s) / (2.0 * s))
-    threshold_unscaled = base_level + s * power
+    power = (kernel_constant(s) * sobolev) ** (1.0 / (2.0 * s))
+    threshold = float(base_level + s * power * params.lam ** (-(1.0 - 2.0 * s) / (2.0 * s)))
+    threshold_unscaled = float(base_level + s * power)
     peaks_t = tuple(float(p) for p in peaks)
     decreasing = all(b <= a + 1e-12 for a, b in zip(peaks_t, peaks_t[1:]))
     smallest = peaks_t[int(np.argmin(GAP_EPS_LADDER))]
@@ -311,8 +286,8 @@ def energy_gap_check(
         all_below=all(p < threshold for p in peaks_t),
         sup_levels=peaks_t,
         eps_ladder=GAP_EPS_LADDER,
-        threshold=float(threshold),
-        threshold_unscaled=float(threshold_unscaled),
+        threshold=threshold,
+        threshold_unscaled=threshold_unscaled,
         base_level=float(base_level),
         decreasing=decreasing,
     )
@@ -353,8 +328,8 @@ def mountain_pass_search(
     """Locate a second solution above the minimal one at the same lam.
 
     A path from the minimal solution to a far point along a bubble direction
-    (``make_bubble`` at scale MP_BUBBLE_EPS with the system's Sobolev
-    constant and the default cutoff) is relaxed by a climbing elastic band:
+    (``make_bubble`` at scale MP_BUBBLE_EPS with ``sobolev_constant`` and
+    the default cutoff) is relaxed by a climbing elastic band:
     every interior sample moves down the A-preconditioned gradient with the
     component along the path tangent removed, except the highest sample,
     which moves up that component instead.  Steps are capped by a quarter

@@ -461,7 +461,8 @@ def test_holder_fit_plot_files(tmp_path):
     names = sorted(os.path.basename(p) for p in paths)
     assert names == ["reg_fit.dat", "reg_scatter.dat"]
     for p in paths:
-        body = open(p).read().splitlines()
+        with open(p) as f:
+            body = f.read().splitlines()
         assert body[0].startswith("# ")
         assert len(body) >= 3
 

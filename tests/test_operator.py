@@ -562,8 +562,8 @@ def test_no_matrix_product_outside_row_products():
 def test_one_eigensolve_in_the_package():
     """Every call of an eigensolver (``eigh``, ``eigvalsh``, any ``eig*``) in
     the package is the one ``eigh`` in ``operator._lowest``, so the spectral
-    path stays one: the principal eigenpair, the certificate, the Sobolev
-    descent's start and the odd block's message all read it.
+    path stays one: the principal eigenpair, the certificate and the odd
+    block's message all read it.
     """
     sites = []
     for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
@@ -583,9 +583,6 @@ def test_nonlinearity_is_spelled_in_operator_only():
     """Every ``**`` whose exponent is the singular or the critical power lives
     in ``operator.py``, so the source u^{-q} + g + lam u^{crit-1} and its
     lam-derivative have one spelling (``source``, ``critical_power``).
-
-    The one exception is ``sobolev_constant``'s gradient of the critical
-    embedding quotient, a different functional.
     """
     powers = {"-params.q", "-q", "params.crit - 1.0", "ts - 1.0"}
     sites = []
@@ -597,7 +594,7 @@ def test_nonlinearity_is_spelled_in_operator_only():
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
                     and ast.unparse(node.right) in powers):
                 sites.append((path.name, ast.unparse(node)))
-    assert sites == [("variational.py", "np.abs(un) ** (ts - 1.0)")]
+    assert sites == []
 
 
 def test_no_unused_module_imports():

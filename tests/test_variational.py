@@ -35,6 +35,7 @@ from fraclab.solver import RESIDUAL_TOL
 from fraclab.variational import golden_section_max
 
 ENERGY_01_W256 = 3.2033391260834289
+SOBOLEV_S04 = 3.4663701160510294
 
 
 def test_energy_frozen_scalar(system256, params_s04q2, w256):
@@ -102,6 +103,30 @@ def test_critical_quotient_scale_invariant(system128, rng):
     assert q2 == pytest.approx(q1, rel=1e-8)
     with pytest.raises(ParameterError):
         critical_quotient(system128, np.zeros(128))
+
+
+def test_sobolev_constant_frozen(system128):
+    """S_CT / cns at s = 0.4, from 50-digit arithmetic"""
+    S = sobolev_constant(system128)
+    assert S == pytest.approx(SOBOLEV_S04, rel=1e-14, abs=0.0)
+    assert sobolev_constant(system128) == S
+
+
+def test_sobolev_constant_refines_downward(system128, system256):
+    """the continuum constant bounds every discrete quotient from below, so
+    refining the grid cannot lower it: it stays put"""
+    s128 = sobolev_constant(system128)
+    s256 = sobolev_constant(system256)
+    assert 0.0 < s256 <= s128 + 1e-6
+    assert s256 == s128
+
+
+@pytest.mark.parametrize("s", [0.3, 0.4])
+def test_sobolev_constant_does_not_depend_on_parity_of_n(s):
+    even = sobolev_constant(assemble(build_grid(-1.0, 1.0, 256), s))
+    odd = sobolev_constant(assemble(build_grid(-1.0, 1.0, 255), s))
+    assert even == pytest.approx(odd, rel=1e-3)
+    assert even == odd
 
 
 @pytest.mark.parametrize("s", [0.3, 0.35, 0.4, 0.45])

@@ -76,10 +76,14 @@ BRANCHES = ("pure-singular", "minimal", "mountain-pass", "extremal", "auxiliary"
 # A solve counts as converged when its unregularized defect is this small,
 # and Newton trial iterates must keep every node above the floor.  Newton
 # stops once its accepted step is NEWTON_STEP_TOL relative to the iterate.
+# Its line search tries NEWTON_TRIALS steps t = 1, 1/2, ..., 2^-21: no
+# Newton run that returns has been seen to accept a step below 2^-17, and
+# a polish that needs longer searches fails anyway.
 RESIDUAL_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-14
 NEWTON_MAX_ITER = 60
 NEWTON_STEP_TOL = 1e-12
+NEWTON_TRIALS = 22
 
 # Nodal slack of the supersolution, comparison and envelope verdicts; it
 # also sets the width of the lambda* bracket (see ladder_thresholds).
@@ -120,18 +124,20 @@ def measure(system, params, u, iterations, branch, g=0.0, settled=True) -> Solve
 def newton(system, params, u, g=0.0):
     """Damped Newton on ``defect(system, params, u, g) = 0`` from ``u``.
 
-    Each step halves its length (at most 40 times) until the trial iterate
-    stays above POSITIVITY_FLOOR and lowers the defect norm; it stops when
-    the accepted step is at most NEWTON_STEP_TOL relative to the iterate.
-    The Jacobian is factorized with Cholesky when lam = 0 (it is then SPD)
-    and with LU otherwise, in place: ``jacobian`` hands over a fresh
-    Fortran-ordered array, so LAPACK gets it without a copy.  Each defect
-    is evaluated once: the accepted trial's seeds the next step.  Returns (u, iterations).  Raises
-    ConvergenceError when the line search stalls on an iterate whose Newton
-    step is still above that tolerance (at a converged iterate the defect
-    sits at rounding level and no step can lower it), and when it takes
-    NEWTON_MAX_ITER steps.  A non-finite defect, Jacobian diagonal or step
-    (an overflowed source, say) raises ConvergenceError too.
+    Each step tries the lengths t = 1, 1/2, ..., 2^-(NEWTON_TRIALS - 1)
+    until the trial iterate stays above POSITIVITY_FLOOR and lowers the
+    defect norm; it stops when the accepted step is at most
+    NEWTON_STEP_TOL relative to the iterate.  The Jacobian is factorized
+    with Cholesky when lam = 0 (it is then SPD) and with LU otherwise, in
+    place: ``jacobian`` hands over a fresh Fortran-ordered array, so LAPACK
+    gets it without a copy.  Each defect is evaluated once: the accepted
+    trial's seeds the next step.  Returns (u, iterations).  When no trial
+    descends, returns the iterate if its Newton step is within that
+    tolerance (at a converged iterate the defect sits at rounding level and
+    no step can lower it) and raises ConvergenceError ("line search
+    stalled") otherwise.  Taking NEWTON_MAX_ITER steps, or a non-finite
+    defect, Jacobian diagonal or step (an overflowed source, say), raises
+    ConvergenceError too.
     """
     spd = params.lam == 0.0
     r = defect(system, params, u, g)
@@ -151,7 +157,7 @@ def newton(system, params, u, g=0.0):
         # current defect and the step overflow, so the line search stalls
         with np.errstate(over="ignore"):
             rn0 = np.linalg.norm(r)
-            for _ in range(40):
+            for _ in range(NEWTON_TRIALS):
                 ut = u + t * du
                 if ut.min() > POSITIVITY_FLOOR:
                     rt = defect(system, params, ut, g)

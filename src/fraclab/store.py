@@ -23,20 +23,24 @@ from .bifurcation import BifurcationDiagram, HolderFit
 def _clean(obj):
     """Replace non-finite floats so json stays standard-compliant.
 
-    An array becomes the list of its entries as Python floats, by one
+    A boolean array becomes the list of its entries as Python bools; any
+    other array the list of its entries as Python floats, by one
     ``tolist()``, with each non-finite entry replaced by its ``repr``.
+    numpy scalars become Python ones.
     """
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.bool_:
+            return obj.tolist()
         values = np.asarray(obj, dtype=float)
         out = values.tolist()
         for i in np.flatnonzero(~np.isfinite(values)):
             out[i] = repr(out[i])
         return out
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)

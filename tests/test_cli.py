@@ -445,6 +445,22 @@ def test_json_arrays_write_the_bytes_of_the_element_loop(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == expected.encode()
 
 
+def test_json_writes_numpy_bools_as_bools(tmp_path):
+    payload = {"on": np.True_, "off": np.bool_(False), "nested": [(np.bool_(True), 1.0)]}
+    write_json(tmp_path / "a.json", payload)
+    expected = {"on": True, "off": False, "nested": [[True, 1.0]]}
+    assert (tmp_path / "a.json").read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writes_boolean_arrays_as_lists_of_bools(tmp_path):
+    payload = {"mask": np.array([True, False, True]), "none": np.array([], dtype=bool),
+               "values": np.array([0.5, 1.0])}
+    write_json(tmp_path / "a.json", payload)
+    loaded = json.loads((tmp_path / "a.json").read_text())
+    assert loaded == {"mask": [True, False, True], "none": [], "values": [0.5, 1.0]}
+    assert all(type(v) is bool for v in loaded["mask"])
+
+
 def test_empty_diagram_emits_warning_not_files(tmp_path):
     empty = BifurcationDiagram(entries=(), lambda_cert=1.0)
     with pytest.warns(UserWarning, match="no converged entries"):

@@ -34,6 +34,7 @@ from fraclab import (
 from fraclab.solver import (
     MONOTONE_CAP,
     MONOTONE_TOL,
+    NEWTON_TRIALS,
     ORDER_SLACK,
     POSITIVITY_FLOOR,
     RESIDUAL_TOL,
@@ -303,16 +304,56 @@ def test_newton_evaluates_each_defect_once(monkeypatch):
         assert sum(np.array_equal(f, v) for f in fields) == 1
 
 
-def test_newton_returns_converged_start():
-    """at rounding-level defect no step lowers it: Newton returns the iterate"""
+def test_newton_returns_converged_start(monkeypatch):
+    """at rounding-level defect no step lowers it: Newton returns the iterate
+    after its NEWTON_TRIALS trials, since its Newton step is within
+    NEWTON_STEP_TOL"""
     system = assemble(build_grid(-1.0, 1.0, 16), 0.3)
     params = ProblemParams(s=0.3, q=1.0)
     # converged in the full space (the even-block w is converged in its own)
     w, rep = solve_singular_semilinear(system, params)
     assert rep.converged
+    real_defect = fraclab.solver.defect
+    counted = []
+
+    def counting_defect(system, params, u, g=0.0):
+        counted.append(1)
+        return real_defect(system, params, u, g)
+
+    monkeypatch.setattr(fraclab.solver, "defect", counting_defect)
     u, its = newton(system, params, w)
-    assert its == 0
+    assert its == 0 and len(counted) == 1 + NEWTON_TRIALS
     np.testing.assert_array_equal(u, w)
+
+
+def test_newton_line_search_stops_at_its_last_trial(monkeypatch):
+    """trials t = 1, ..., 2^-21 that never descend end the line search: it stalls"""
+    assert NEWTON_TRIALS == 22
+    last = 2.0 ** -(NEWTON_TRIALS - 1)
+    system = assemble(build_grid(-1.0, 1.0, 16), 0.3)
+    params = ProblemParams(s=0.3, q=1.0)
+    w, rep = solve_singular_semilinear(system, params)
+    assert rep.converged
+    real_defect = fraclab.solver.defect
+    u0 = 1.01 * w
+    r0 = real_defect(system, params, u0)
+    fields = []
+
+    def short_steps_descend(system, params, u, g=0.0):
+        # a trial u0 + t du reads a lower norm than r0 only below the last
+        # trial's t; t is its distance from u0 over the first trial's
+        fields.append(u.copy())
+        if len(fields) == 1:
+            return r0
+        t = np.linalg.norm(u - u0) / np.linalg.norm(fields[1] - u0)
+        return (0.5 if t < 0.5 * last else 2.0) * r0
+
+    monkeypatch.setattr(fraclab.solver, "defect", short_steps_descend)
+    with pytest.raises(ConvergenceError, match="line search stalled after 0 Newton steps"):
+        newton(system, params, u0)
+    assert len(fields) == 1 + NEWTON_TRIALS
+    steps = [np.linalg.norm(f - fields[0]) for f in fields[1:]]
+    np.testing.assert_allclose(np.array(steps) / steps[0], 2.0 ** -np.arange(NEWTON_TRIALS))
 
 
 def test_newton_types_non_finite_defect_and_step(monkeypatch):

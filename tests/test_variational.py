@@ -30,7 +30,7 @@ from fraclab import (
     solve_pure_singular,
     weak_residual,
 )
-from fraclab.operator import defect, kernel_constant
+from fraclab.operator import defect, jacobian, kernel_constant
 from fraclab.solver import RESIDUAL_TOL
 from fraclab.variational import golden_section_max
 
@@ -301,6 +301,30 @@ def test_mountain_pass_second_solution(system128, params_s04q2):
     # the climbing band's peak may rise from sweep to sweep; what the method
     # promises is a critical level above the minimum and below the first peak
     assert energy(system128, p, u_min) < rep.energy <= trace[0]["level"]
+
+
+def test_index_one_second_solutions_lie_below_the_compactness_threshold():
+    """the paper's inequality on a fixed grid: every second solution of Morse
+    index 1 (one negative eigenvalue of the full Jacobian) has energy above
+    the minimal solution's level I(u_lam) and below energy_gap_check's
+    threshold I(u_lam) + s S^{1/(2s)} lam^{-(1-2s)/(2s)}"""
+    index_one = 0
+    for s, q in [(0.3, 1.0), (0.35, 0.5), (0.4, 2.0), (0.45, 3.0)]:  # perfbench/table.json
+        system = assemble(build_grid(-1.0, 1.0, 128), s)
+        base = ProblemParams(s=s, q=q)
+        star = estimate_lambda_star(system, base).estimate
+        for f in (0.5, 0.7, 0.9):
+            p = base.with_lam(f * star)
+            first, frep = monotone_iteration(system, p, bound=scan_supersolution(system, p).values)
+            assert frep.converged
+            second, rep = mountain_pass_search(system, p, first)
+            mu = np.linalg.eigvalsh(jacobian(system, p, second))
+            assert np.abs(mu).min() > 1e-6, "an eigenvalue of J too close to zero to read the index"
+            if np.count_nonzero(mu < 0.0) == 1:
+                index_one += 1
+                gap = energy_gap_check(system, p, first)
+                assert gap.base_level < rep.energy < gap.threshold
+    assert index_one >= 9  # 11 of the 12 points
 
 
 @pytest.mark.parametrize("s, q, lam", [

@@ -33,14 +33,14 @@ slices of the stiffness in O(N^2).
 
 Every product of a matrix with a field goes through ``row_products`` except
 ``holder_fit``'s n x 2 least-squares prediction, which is too small to
-matter.  numpy and scipy each load their own OpenBLAS, each with its own thread pool; the
-factorizations and solves run in scipy's, so a single field's product with
-the stiffness or a block runs there too, through ``dgemv``, and no
-matrix-vector product by a single field wakes numpy's pool beside them.  A
-stack keeps numpy's stacked matmul (see ``row_products``).  Dot products
-(``np.vecdot``) and norms of fields stay in numpy's BLAS; at N <= 1024 they
-are level-1 calls, which are not expected to wake its pool, but that has
-not been measured.
+matter.  numpy and scipy each load their own OpenBLAS, each with its own
+thread pool; the factorizations and solves run in scipy's, so the products
+run there too: a single field's product with the stiffness or a block
+through ``dgemv``, and a whole stack of fields (an elastic band, a ray
+grid) through one ``dgemm``.  No matrix product wakes numpy's pool beside
+them.  Dot products (``np.vecdot``) and norms of fields stay in numpy's
+BLAS; at N <= 1024 they are level-1 calls, which are not expected to wake
+its pool, but that has not been measured.
 
 Every matrix handed to ``cho_factor`` or ``lu_factor`` is Fortran-ordered.
 LAPACK stores matrices by column, and f2py answers a C-ordered argument
@@ -55,8 +55,9 @@ Fortran-ordered, which f2py copies without a transpose because they may
 not overwrite it.  The factors and solves are bit for bit those of the
 C-ordered matrices.  A Jacobian plus factor plus solve went from 4.7 to
 2.2 ms (Cholesky) at N = 512 and from 1.0 to 0.55 ms (LU) at N = 256 on a
-shared 2-vCPU x86-64 host.  The mountain-pass band's inverse and stacked
-products keep their layouts: the band's outcome follows their bits.
+shared 2-vCPU x86-64 host.  The mountain-pass band's inverse keeps the
+Fortran order ``cho_solve`` returns it in, and ``row_products`` hands it to
+``dgemm`` as it is.
 
 The package's one eigensolve is ``_lowest``, behind ``principal_eigenpair``.
 The lumped mass is diagonal, so the pencil (A, diag(massw)) is the standard
@@ -77,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemm, dgemv
 from scipy.special import gamma
 
 from .errors import ConvergenceError, ParameterError
@@ -152,25 +153,33 @@ class ProblemParams:
 def row_products(matrix: np.ndarray, u: Field) -> Field:
     """``matrix @ u`` for a field, or for each row of an (m, n) stack of fields.
 
-    A single field's product with a C-ordered matrix (the stiffness, the
-    blocks) is one ``dgemv`` in scipy's BLAS, the library that runs the
-    factorizations and solves, so no second OpenBLAS thread pool (numpy's)
-    wakes beside them.  It uses the transposed kernel, as numpy does on a
-    C-ordered matrix.  With the wheels measured (numpy 2.4.6 with OpenBLAS
-    0.3.31, scipy 1.17.1 with OpenBLAS 0.3.30, x86-64) the result equals
-    ``matrix @ u`` bit for bit because both copies pick the same kernel;
-    nothing in fraclab guarantees that for other builds or CPUs.  Any other
-    matrix or field (F-ordered, strided) stays with numpy.
+    Every product of a contiguous stack or field runs in scipy's BLAS, the
+    library that runs the factorizations and solves, so no second OpenBLAS
+    thread pool (numpy's) wakes beside them:
 
-    A stack keeps numpy's stacked matmul, which runs one matrix-vector
-    product per row, so every row equals the product of that row alone bit
-    for bit; a Python loop of ``dgemv`` calls costs about 1.7 times as much
-    at band sizes.  One ``dgemm`` per stack is no faster on the benchmark's
-    bands and rounds differently, and the mountain-pass band's sweep count,
-    even whether it succeeds, follows those bits.
+    - a single field's product with a C-ordered matrix (the stiffness, the
+      blocks) is one ``dgemv``, with the transposed kernel as numpy uses on
+      a C-ordered matrix.  With the wheels measured (numpy 2.4.6 with
+      OpenBLAS 0.3.31, scipy 1.17.1 with OpenBLAS 0.3.30, x86-64) the result
+      equals ``matrix @ u`` bit for bit because both copies pick the same
+      kernel; nothing in fraclab guarantees that for other builds or CPUs;
+    - a C-contiguous stack is one ``dgemm``: U A^T, read as (A U^T)^T, for a
+      C-ordered matrix and for an F-ordered one (the band's inverse, from
+      ``block.solve(np.eye(n))``).  A level-3 kernel sums in its own order,
+      so a row agrees with the product of that row alone to rounding, not
+      bit for bit; the same stack gives the same bits on every call at a
+      fixed thread count.
+
+    Any other matrix or field (an F-ordered matrix times a single field,
+    strided arrays) stays with numpy.
     """
-    if u.ndim == 1 and u.flags.c_contiguous and matrix.flags.c_contiguous:
-        return dgemv(1.0, matrix.T, u, trans=1)
+    if u.flags.c_contiguous:
+        if u.ndim == 1 and matrix.flags.c_contiguous:
+            return dgemv(1.0, matrix.T, u, trans=1)
+        if u.ndim == 2 and matrix.flags.c_contiguous:
+            return dgemm(1.0, matrix.T, u.T, trans_a=1).T
+        if u.ndim == 2 and matrix.flags.f_contiguous:
+            return dgemm(1.0, matrix, u.T).T
     return (matrix @ u[..., None])[..., 0]
 
 
@@ -197,7 +206,8 @@ def defect(system: "DiscreteSystem", params: ProblemParams, u: Field, g=0.0) -> 
     """Nodal defect A u - massw ``source``(u, g) = A u - massw (u^{-q} + g + lam u^{crit-1}).
 
     ``u`` may be an (m, n) stack of fields, one per row; the defects come
-    back as rows, each equal to the defect of its row alone.  A regularized
+    back as rows, each equal to the defect of its row alone up to the
+    rounding of ``row_products``' one ``dgemm``.  A regularized
     level eps, A u = massw (u + eps)^{-q}, is the frozen-source problem in
     v = u + eps with g = eps (A 1) / massw, because A is linear.
     """
@@ -235,7 +245,8 @@ def energy(system: "DiscreteSystem", params: ProblemParams, u: Field):
     when a zero node makes the singular term diverge (q >= 1).  Negative
     fields are outside the domain of the functional and rejected.  ``u`` may
     be an (m, n) stack of fields, one per row: the m values come back as an
-    array, each equal to the value of its row alone.
+    array, each equal to the value of its row alone up to the rounding of
+    ``row_products``' one ``dgemm``.
     """
     u = np.asarray(u, dtype=float)
     if u.min() < 0.0:

@@ -395,8 +395,8 @@ def _band(system, params, base, trace):
     """
     block = system.even
     A = block.stiffness
-    # sweeps solve row by row with A^{-1}: a stacked solve rounds otherwise,
-    # and the band's sweep count, even its critical point, follows the bits
+    # A^{-1} is formed once per band, so each sweep's solve of its stack of
+    # defects is one product, one dgemm in row_products
     inverse = block.solve(np.eye(base.shape[0]))
     bubble = make_bubble(system.grid, params, MP_BUBBLE_EPS, sobolev_constant(system))
     direction = bubble.values[: base.shape[0]]

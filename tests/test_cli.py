@@ -330,30 +330,37 @@ def test_blas_thread_count_moves_only_last_bits(tmp_path):
     """The same op at one and at two OpenBLAS threads lands on the same field.
 
     The thread count changes the order of the floating-point sums in the
-    factorizations, so the result files differ in their last bits: with
+    factorizations and in the mountain-pass band's stacked products (one
+    ``dgemm`` each), so the result files differ in their last bits: with
     numpy 2.4.6, scipy 1.17.1 and 2 vCPUs, ``pure-singular``, ``solve``,
     ``lambda-star`` and ``mountain-pass`` at N = 256 all write different
     bytes at 1 and at 2 threads.  That depends on the CPU and the wheels, so
     it is not asserted; the fields must agree to 1e-10 relative.
     """
     src = os.path.dirname(os.path.dirname(fraclab.solver.__file__))
-    argv = [sys.executable, "-m", "fraclab.cli", "pure-singular", "--s", "0.4", "--q", "2",
-            "--N", "256", "--output-dir"]
-    procs = {
-        threads: subprocess.Popen(
-            [*argv, str(tmp_path / threads)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
-        for threads in ("1", "2")
-    }
-    fields = []
-    for threads, proc in procs.items():
-        _, err = proc.communicate()
-        assert proc.returncode == 0, err
-        payload = json.loads((tmp_path / threads / "pure_singular.json").read_text())
-        assert payload["converged"] is True
-        fields.append(np.array(payload["values"]))
-    one, two = fields
-    assert np.abs(one - two).max() <= 1e-10 * np.abs(one).max()
+    cases = [
+        (["pure-singular", "--s", "0.4", "--q", "2", "--N", "256"], "pure_singular.json"),
+        (["mountain-pass", "--s", "0.4", "--q", "2", "--N", "128", "--lambda", "0.03"],
+         "second_solution.json"),
+    ]
+    for argv, name in cases:
+        out = tmp_path / argv[0]
+        procs = {
+            threads: subprocess.Popen(
+                [sys.executable, "-m", "fraclab.cli", *argv, "--output-dir", str(out / threads)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        }
+        fields = []
+        for threads, proc in procs.items():
+            _, err = proc.communicate()
+            assert proc.returncode == 0, err
+            payload = json.loads((out / threads / name).read_text())
+            assert payload["converged"] is True
+            fields.append(np.array(payload["values"]))
+        one, two = fields
+        assert np.abs(one - two).max() <= 1e-10 * np.abs(one).max()
 
 
 def test_sweep_csv_contract(tmp_path):

@@ -19,6 +19,8 @@ from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve
 
 import fraclab
 import fraclab.operator
+import fraclab.solver
+import fraclab.variational
 from fraclab import (
     ConvergenceError,
     ParameterError,
@@ -31,6 +33,8 @@ from fraclab import (
     critical_exponent,
     kernel_constant,
     m_matrix_threshold,
+    monotone_iteration,
+    mountain_pass_search,
     normalization_constant,
     principal_eigenpair,
     solve_dirichlet,
@@ -501,7 +505,10 @@ def test_row_products_match_matmul_bit_for_bit(system64, system128, w128, rng):
     # scipy's dgemv and numpy's matmul are two OpenBLAS builds; they agree bit
     # for bit with numpy 2.4.6 (OpenBLAS 0.3.31) and scipy 1.17.1 (0.3.30) on
     # x86-64, not by any guarantee, so a failure here flags a changed
-    # environment.  The F-ordered and strided cases stay with numpy.
+    # environment.  The F-ordered and strided cases stay with numpy.  A stack
+    # is one dgemm, whose level-3 kernel sums in its own order: each row
+    # agrees with its matrix-vector product to rounding, and the same stack
+    # gives the same bits every time.
     A = system64.stiffness
     inverse = system64.solve(np.eye(64))
     u = rng.standard_normal(64)
@@ -518,7 +525,12 @@ def test_row_products_match_matmul_bit_for_bit(system64, system128, w128, rng):
     ]:
         assert np.array_equal(row_products(matrix, v), matrix @ v)
     V = rng.standard_normal((5, 64))
-    assert np.array_equal(row_products(A, V), np.stack([A @ v for v in V]))
+    for matrix in (A, inverse):
+        stacked = row_products(matrix, V)
+        for row, v in zip(stacked, V):
+            single = matrix @ v
+            assert np.abs(row - single).max() <= 1e-14 * np.abs(single).max()
+        assert np.array_equal(row_products(matrix, V), stacked)
 
 
 def test_single_field_products_run_in_scipys_blas(system64, rng, monkeypatch):
@@ -538,9 +550,54 @@ def test_single_field_products_run_in_scipys_blas(system64, rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_stacked_products_run_as_one_dgemm(system64, rng, monkeypatch):
+    blas = []
+    for name in ("dgemm", "dgemv"):
+        real = getattr(fraclab.operator, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            blas.append((_name, args[1].shape))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fraclab.operator, name, counting)
+    p = ProblemParams(s=0.4, q=2.0, lam=0.03)
+    U = 0.1 + rng.random((3, 64))
+    inverse = system64.solve(np.eye(64))
+    assert inverse.flags.f_contiguous
+    for product in (lambda: defect(system64, p, U), lambda: energy(system64, p, U),
+                    lambda: row_products(inverse, U)):
+        blas.clear()
+        product()
+        assert blas == [("dgemm", (64, 64))]
+
+    # every product of the mountain-pass band by a stack of samples is one
+    # dgemm: the defects, the inverse solve, the tangents' A-products, the
+    # rebalance A-norms and the levels (the setup of
+    # test_band_sweep_is_one_stacked_defect)
+    stacks = []
+
+    def spy(matrix, u):
+        before = len(blas)
+        out = row_products(matrix, u)
+        if np.ndim(u) == 2:
+            stacks.append([name for name, _ in blas[before:]])
+        return out
+
+    for module in (fraclab.operator, fraclab.solver, fraclab.variational):
+        monkeypatch.setattr(module, "row_products", spy)
+    monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 5)
+    system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    u_min, _ = monotone_iteration(system, p)
+    with pytest.raises(ConvergenceError, match="within 5 sweeps"):
+        mountain_pass_search(system, p, u_min)
+    assert len(stacks) > 50
+    assert all(calls == ["dgemm"] for calls in stacks)
+
+
 def test_no_matrix_product_outside_row_products():
     """Every ``@`` in the package is in ``row_products``, so no matrix-vector
-    product by a single field runs in numpy's OpenBLAS beside scipy's.
+    product by a single field, and no product by a stack of fields, runs in
+    numpy's OpenBLAS beside scipy's.
 
     The one exception is ``holder_fit``'s n x 2 least-squares prediction,
     far too small to wake a thread pool; scipy's kernel would change its bits.
@@ -557,6 +614,33 @@ def test_no_matrix_product_outside_row_products():
                 (inside if any(a <= node.lineno <= b for a, b in spans) else stray).append(hit)
     assert stray == []
     assert len(inside) == 2
+
+
+def test_blas_calls_only_in_row_products():
+    """``dgemm`` and ``dgemv`` are named only inside ``operator.row_products``
+    and in the import that brings them into ``operator``, so every BLAS
+    product in the package takes the one dispatch on layout and shape.
+    """
+    sites = []
+    for path in sorted(pathlib.Path(fraclab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {node: f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names] + [a.asname for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                names = [getattr(node, "attr", None)]
+            sites += [(path.name, owners.get(node), n) for n in names if n in ("dgemm", "dgemv")]
+    assert sorted(sites, key=lambda site: (site[0], site[1] or "", site[2])) == [
+        ("operator.py", None, "dgemm"),
+        ("operator.py", None, "dgemv"),
+        ("operator.py", "row_products", "dgemm"),
+        ("operator.py", "row_products", "dgemm"),
+        ("operator.py", "row_products", "dgemv"),
+    ]
 
 
 def test_one_eigensolve_in_the_package():

@@ -14,9 +14,6 @@ from .bifurcation import (
     DiagramEntry,
     HolderFit,
     LambdaStarResult,
-    SandwichReport,
-    boundary_profile,
-    boundary_sandwich,
     estimate_lambda_star,
     extremal_solution,
     holder_fit,
@@ -30,13 +27,10 @@ from .operator import (
     Field,
     ProblemParams,
     SpectralData,
-    admissibility,
     apply_operator,
     assemble,
-    critical_exponent,
     kernel_constant,
     m_matrix_threshold,
-    normalization_constant,
     principal_eigenpair,
     solve_dirichlet,
 )
@@ -58,7 +52,6 @@ from .solver import (
 from .variational import (
     Bubble,
     GapReport,
-    critical_quotient,
     energy,
     energy_gap_check,
     gateaux_derivative,
@@ -85,21 +78,15 @@ __all__ = [
     "LambdaStarResult",
     "ParameterError",
     "ProblemParams",
-    "SandwichReport",
     "SolveReport",
     "SpectralData",
     "SupersolutionResult",
-    "admissibility",
     "apply_operator",
     "assemble",
     "boundary_distance",
-    "boundary_profile",
-    "boundary_sandwich",
     "build_grid",
     "build_supersolution",
     "comparison_check",
-    "critical_exponent",
-    "critical_quotient",
     "default_multiplier_ladder",
     "energy",
     "energy_gap_check",
@@ -114,7 +101,6 @@ __all__ = [
     "make_bubble",
     "monotone_iteration",
     "mountain_pass_search",
-    "normalization_constant",
     "principal_eigenpair",
     "scan_supersolution",
     "sobolev_constant",

@@ -36,8 +36,8 @@ from .variational import mountain_pass_search
 # Rungs of the geometric ladder in extremal_solution.
 EXTREMAL_RUNGS = 8
 
-# Boundary window of holder_fit and boundary_sandwich: nodes within this
-# fraction of the interval length from an endpoint.
+# Boundary window of holder_fit: nodes within this fraction of the
+# interval length from an endpoint.
 BOUNDARY_WINDOW_FRAC = 0.1
 
 
@@ -314,64 +314,4 @@ def holder_fit(grid: Grid, params: ProblemParams, u: Field) -> HolderFit:
         trusted=bool(rsq >= 0.99),
         regressor=reg,
         log_values=lu,
-    )
-
-
-def boundary_profile(system: DiscreteSystem, params: ProblemParams) -> Field:
-    """Reference boundary growth profile built from the principal mode.
-
-    With phi the principal eigenvector (max 1), the profile is phi itself
-    for q < 1, phi * sqrt(log(2/phi)) at q = 1, and phi^{2/(q+1)} for
-    q > 1, matching the three growth regimes of the solutions.
-    """
-    phi = principal_eigenpair(system).mode
-    q = params.q
-    if q < 1.0:
-        return phi.copy()
-    if q == 1.0:
-        return phi * np.sqrt(np.log(2.0 / phi))
-    return phi ** (2.0 / (q + 1.0))
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Two-sided pinch of a field between multiples of the boundary profile."""
-
-    k_low: float
-    k_high: float
-    n_nodes: int
-    width: float
-
-    def __bool__(self):
-        return 0.0 < self.k_low <= self.k_high and math.isfinite(self.k_high)
-
-
-def boundary_sandwich(
-    system: DiscreteSystem,
-    params: ProblemParams,
-    u: Field,
-) -> SandwichReport:
-    """Pinch constants k_low, k_high with k_low*profile <= u <= k_high*profile.
-
-    The constants are the extreme ratios of u to the boundary profile over
-    nodes within BOUNDARY_WINDOW_FRAC of the interval length from an
-    endpoint, so both inequalities are tight at some node.  A well-behaved
-    solution keeps the two constants within a modest factor of each other.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.min() <= 0.0:
-        raise ParameterError("sandwich needs a strictly positive field")
-    grid = system.grid
-    delta = boundary_distance(grid)
-    width = BOUNDARY_WINDOW_FRAC * (grid.b - grid.a)
-    mask = delta <= width
-    if not mask.any():
-        raise ParameterError("no nodes inside the sandwich window")
-    prof = boundary_profile(system, params)
-    ratio = u[mask] / prof[mask]
-    return SandwichReport(
-        k_low=float(ratio.min()),
-        k_high=float(ratio.max()),
-        n_nodes=int(mask.sum()),
-        width=float(width),
     )

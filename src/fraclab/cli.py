@@ -429,9 +429,9 @@ def _run_validate_battery(cfg: RunConfig) -> tuple:
     bub = make_bubble(grid, params, 0.02, sob)
     inside = np.abs(grid.nodes - bub.center) <= 2.0 * bub.nu + grid.h
     support_ok = bool(np.all(bub.values[~inside] == 0.0))
-    pw = (1.0 - 2.0 * 0.4) / 2.0
+    pw = (1.0 - 2.0 * params.s) / 2.0
     center_idx = int(np.argmin(np.abs(grid.nodes - bub.center)))
-    y = abs(grid.nodes[center_idx] - bub.center) / (0.02 * sob ** (1.0 / 0.8))
+    y = abs(grid.nodes[center_idx] - bub.center) / bub.beta
     expected = 0.02 ** (-pw) * (1.0 + y ** 2) ** (-pw) / np.pi ** pw
     core_ok = abs(bub.values[center_idx] - expected) <= 1e-12 * expected
     check("bubble-structure", support_ok and core_ok,

@@ -87,35 +87,6 @@ from .grid import Grid
 Field = np.ndarray
 
 
-def critical_exponent(n: int, s: float) -> float:
-    """Critical embedding exponent 2n/(n - 2s); needs n > 2s."""
-    if not n > 2.0 * s:
-        raise ParameterError(f"critical exponent undefined: n={n} <= 2s={2.0 * s}")
-    return 2.0 * n / (n - 2.0 * s)
-
-
-def normalization_constant(n: int, s: float) -> float:
-    """Kernel constant pi^{-n/2} 2^{2s-1} s Gamma((n+2s)/2) / Gamma(1-s)."""
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"order s must lie in (0, 1), got {s}")
-    return (
-        np.pi ** (-n / 2.0)
-        * 2.0 ** (2.0 * s - 1.0)
-        * s
-        * gamma((n + 2.0 * s) / 2.0)
-        / gamma(1.0 - s)
-    )
-
-
-def admissibility(q: float, s: float) -> bool:
-    """Exponent compatibility q(2s - 1) < 2s + 1; q must be positive and finite."""
-    if not 0.0 < q < math.inf:
-        raise ParameterError(f"singular exponent q must be positive and finite, got {q}")
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"order s must lie in (0, 1), got {s}")
-    return q * (2.0 * s - 1.0) < 2.0 * s + 1.0
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Parameters of the singular critical problem.
@@ -134,9 +105,10 @@ class ProblemParams:
             raise ParameterError(
                 f"need n > 2s with n = 1, so s must lie in (0, 1/2); got s={self.s}"
             )
-        if not admissibility(self.q, self.s):
+        # q(2s - 1) < 2s + 1 holds for every such s and q
+        if not 0.0 < self.q < math.inf:
             raise ParameterError(
-                f"admissibility q(2s-1) < 2s+1 fails for q={self.q}, s={self.s}"
+                f"singular exponent q must be positive and finite, got {self.q}"
             )
         if not 0.0 <= self.lam < math.inf:
             raise ParameterError(f"lam must be nonnegative and finite, got {self.lam}")
@@ -144,7 +116,7 @@ class ProblemParams:
     @property
     def crit(self) -> float:
         """Critical exponent 2n/(n - 2s) with n = 1."""
-        return critical_exponent(1, self.s)
+        return 2.0 / (1.0 - 2.0 * self.s)
 
     def with_lam(self, lam: float) -> "ProblemParams":
         return ProblemParams(s=self.s, q=self.q, lam=lam)
@@ -269,8 +241,15 @@ def energy(system: "DiscreteSystem", params: ProblemParams, u: Field):
 
 
 def kernel_constant(s: float) -> float:
-    """Constant multiplying |z|^{-1-2s} so the symbol is |xi|^{2s} (n = 1)."""
-    return normalization_constant(1, s)
+    """Constant multiplying |z|^{-1-2s} so the symbol is |xi|^{2s} (n = 1).
+
+    pi^{-1/2} 2^{2s-1} s Gamma((1+2s)/2) / Gamma(1-s); s must lie in (0, 1).
+    """
+    if not 0.0 < s < 1.0:
+        raise ParameterError(f"order s must lie in (0, 1), got {s}")
+    return (
+        np.pi ** -0.5 * 2.0 ** (2.0 * s - 1.0) * s * gamma((1.0 + 2.0 * s) / 2.0) / gamma(1.0 - s)
+    )
 
 
 def _twice_integrated(m: np.ndarray, s: float) -> np.ndarray:

@@ -71,8 +71,6 @@ class SolveReport:
     converged: bool
 
 
-BRANCHES = ("pure-singular", "minimal", "mountain-pass", "extremal", "auxiliary")
-
 # A solve counts as converged when its unregularized defect is this small,
 # and Newton trial iterates must keep every node above the floor.  Newton
 # stops once its accepted step is NEWTON_STEP_TOL relative to the iterate.

@@ -30,7 +30,6 @@ from .operator import (
     DiscreteSystem,
     Field,
     ProblemParams,
-    critical_exponent,
     defect,
     energy,
     kernel_constant,
@@ -73,23 +72,8 @@ def gateaux_derivative(
     return float(np.vecdot(defect(system, params, u), np.asarray(phi, dtype=float)))
 
 
-def critical_quotient(system: DiscreteSystem, u: Field) -> float:
-    """Rayleigh quotient of the critical embedding at u.
-
-    (<A u, u> / cns) / (sum massw |u|^{crit})^{2/crit}; homogeneous of
-    degree zero, so any rescaling of u leaves it unchanged.
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.any(u != 0.0):
-        raise ParameterError("quotient undefined at the zero field")
-    s = system.s
-    ts = critical_exponent(1, s)
-    den = np.sum(system.massw * np.abs(u) ** ts) ** (2.0 / ts)
-    return float((np.vecdot(u, row_products(system.stiffness, u)) / kernel_constant(s)) / den)
-
-
 def sobolev_constant(system: DiscreteSystem) -> float:
-    """Best constant of the critical embedding, in ``critical_quotient``'s units.
+    """Best constant of the critical embedding, in the units of <A u, u> / cns.
 
     Cotsiolis & Tavoularis (J. Math. Anal. Appl. 295, 2004) give the
     continuum constant in the normalization of <A u, u>,
@@ -98,9 +82,9 @@ def sobolev_constant(system: DiscreteSystem) -> float:
 
     which at n = 1 is (2 pi)^{2s} Gamma(1/2 + s) / Gamma(1/2 - s).  The value
     returned is S_CT / cns, so it depends on s alone, not on the grid.  The
-    discrete minimum of the quotient is no approximation of it: the quotient
-    of a nodal vector does not depend on h, and its minimizer is a spike on
-    one node.  Raises ParameterError unless n > 2s.
+    discrete minimum of the quotient (<A u, u> / cns) / |u|_crit^2 is no
+    approximation of it: the quotient of a nodal vector does not depend on h,
+    and its minimizer is a spike on one node.  Raises ParameterError unless n > 2s.
     """
     s = system.s
     if not 2.0 * s < 1.0:
@@ -138,7 +122,6 @@ def make_bubble(
     params: ProblemParams,
     eps: float,
     sobolev: float,
-    nu: float | None = None,
 ) -> Bubble:
     """Cutoff extremal profile concentrated at scale eps.
 
@@ -147,23 +130,15 @@ def make_bubble(
     ``sobolev``, in ``sobolev_constant``'s units, is concentrated at scale
     eps, so its width is eps * sobolev^{1/(2s)}, and multiplied by a quintic
     taper that is 1 inside radius nu and 0 beyond 2 nu.  The center is the
-    interval's midpoint.  The default nu is a tenth of the interval length;
-    the ball of radius 4 nu about the center must fit inside the interval.
+    interval's midpoint and nu is a tenth of the interval length, so the
+    support, of radius 2 nu, lies well inside the interval.
     """
     if not 0.0 < eps < math.inf:
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < sobolev < math.inf:
         raise ParameterError(f"sobolev constant must be positive and finite, got {sobolev}")
-    length = grid.b - grid.a
-    if nu is None:
-        nu = 0.1 * length
-    if not 0.0 < nu < math.inf:
-        raise ParameterError(f"nu must be positive and finite, got {nu}")
+    nu = 0.1 * (grid.b - grid.a)
     center = 0.5 * (grid.a + grid.b)
-    if center - 4.0 * nu < grid.a or center + 4.0 * nu > grid.b:
-        raise ParameterError(
-            f"need the 4*nu ball about {center:g} inside ({grid.a:g}, {grid.b:g})"
-        )
     s = params.s
     d = np.abs(grid.nodes - center)
     zeta = np.where(
@@ -191,15 +166,13 @@ class GapReport:
     """Peak levels along bubble rays versus the compactness threshold.
 
     ``ok`` reflects the smallest concentration scale tested (the regime the
-    bound speaks about); ``all_below`` records whether every scale passed.
+    bound speaks about).
     """
 
     ok: bool
-    all_below: bool
     sup_levels: tuple
     eps_ladder: tuple
     threshold: float
-    threshold_unscaled: float
     base_level: float
     decreasing: bool
 
@@ -263,8 +236,7 @@ def energy_gap_check(
     normalization of <A u, u> that ``energy`` uses: along a ray t phi the
     critical energy 1/2 t^2 <A phi, phi> - (lam/crit) t^crit sum massw phi^crit
     peaks at s * Q^{1/(2s)} * lam^{-(1-2s)/(2s)}, Q = <A phi, phi> / |phi|_crit^2.
-    The report also carries the unscaled variant (without the lam factor)
-    for reference, plus whether the peaks decrease as eps shrinks.
+    The report also records whether the peaks decrease as eps shrinks.
     """
     if params.lam <= 0.0:
         raise ParameterError("the gap check needs lam > 0")
@@ -277,17 +249,14 @@ def energy_gap_check(
         peaks.append(_ray_peak(system, params, first, bub.values, base_level))
     power = (kernel_constant(s) * sobolev) ** (1.0 / (2.0 * s))
     threshold = float(base_level + s * power * params.lam ** (-(1.0 - 2.0 * s) / (2.0 * s)))
-    threshold_unscaled = float(base_level + s * power)
     peaks_t = tuple(float(p) for p in peaks)
     decreasing = all(b <= a + 1e-12 for a, b in zip(peaks_t, peaks_t[1:]))
     smallest = peaks_t[int(np.argmin(GAP_EPS_LADDER))]
     return GapReport(
         ok=smallest < threshold,
-        all_below=all(p < threshold for p in peaks_t),
         sup_levels=peaks_t,
         eps_ladder=GAP_EPS_LADDER,
         threshold=threshold,
-        threshold_unscaled=threshold_unscaled,
         base_level=float(base_level),
         decreasing=decreasing,
     )

@@ -13,14 +13,13 @@ from fraclab import (
     ParameterError,
     ProblemParams,
     boundary_distance,
-    boundary_profile,
-    boundary_sandwich,
     build_grid,
     assemble,
     estimate_lambda_star,
     extremal_solution,
     holder_fit,
     lambda_certificate,
+    make_bubble,
     monotone_iteration,
     mountain_pass_search,
     principal_eigenpair,
@@ -308,6 +307,9 @@ def test_extremal_validation(system64, params_s04q2):
 ] + [
     # a second removed ``start`` keyword, under its own id
     pytest.param("start", lambda sy, p, u: sobolev_constant(sy, start=u), id="sobolev_start"),
+    # the bubble's cutoff radius is a tenth of the interval length
+    pytest.param("nu", lambda sy, p, u: make_bubble(sy.grid, p, 0.02, 3.8, nu=0.1),
+                 id="bubble_nu"),
     # the kernels carry no regularization level
     pytest.param("eps", lambda sy, p, u: defect(sy, p, u, eps=0.1), id="defect_eps"),
     pytest.param("eps", lambda sy, p, u: jacobian(sy, p, u, eps=0.1), id="jacobian_eps"),
@@ -395,32 +397,3 @@ def test_holder_fit_widens_sparse_window():
     with pytest.warns(UserWarning, match="widened"):
         fit = holder_fit(grid, params, u)
     assert fit.n_nodes >= 2
-
-
-def test_boundary_profile_trichotomy(system64):
-    phi = principal_eigenpair(system64).mode
-    mild = boundary_profile(system64, ProblemParams(s=0.4, q=0.5))
-    np.testing.assert_allclose(mild, phi, rtol=1e-12)
-    logcase = boundary_profile(system64, ProblemParams(s=0.4, q=1.0))
-    np.testing.assert_allclose(logcase, phi * np.sqrt(np.log(2.0 / phi)), rtol=1e-12)
-    steep = boundary_profile(system64, ProblemParams(s=0.4, q=3.0))
-    np.testing.assert_allclose(steep, phi**0.5, rtol=1e-12)
-    for prof in (mild, logcase, steep):
-        assert prof.min() > 0.0
-
-
-def test_boundary_sandwich_brackets_baseline(system128, params_s04q2, w128):
-    report = boundary_sandwich(system128, params_s04q2, w128)
-    assert bool(report)
-    assert 0.5 <= report.k_low <= report.k_high <= 3.0
-    assert report.n_nodes >= 6
-    assert report.width == pytest.approx(0.2, rel=1e-12)
-
-
-def test_boundary_sandwich_detects_wrong_decay(system128, params_s04q2, w128):
-    # a field with the wrong boundary exponent cannot be framed by tight
-    # constants: its ratio spread is far wider than the true profile's
-    flat = np.full(128, 0.7)
-    wrong = boundary_sandwich(system128, params_s04q2, flat)
-    good = boundary_sandwich(system128, params_s04q2, w128)
-    assert wrong.k_high / wrong.k_low > 1.5 * good.k_high / good.k_low

@@ -166,6 +166,24 @@ def test_cli_surface_is_pinned():
     ]
 
 
+def test_library_surface_is_pinned():
+    # a new export must be added here on purpose
+    assert sorted(fraclab.__all__) == [
+        "BifurcationDiagram", "Bubble", "ComparisonReport", "ConvergenceError",
+        "DiagramEntry", "DiscreteSystem", "EnvelopeReport", "Field", "FraclabError",
+        "GapReport", "Grid", "HolderFit", "LambdaStarResult", "ParameterError",
+        "ProblemParams", "SolveReport", "SpectralData", "SupersolutionResult",
+        "apply_operator", "assemble", "boundary_distance", "build_grid",
+        "build_supersolution", "comparison_check", "default_multiplier_ladder", "energy",
+        "energy_gap_check", "envelope_check", "estimate_lambda_star", "extremal_solution",
+        "gateaux_derivative", "holder_fit", "kernel_constant", "lambda_certificate",
+        "m_matrix_threshold", "make_bubble", "monotone_iteration", "mountain_pass_search",
+        "principal_eigenpair", "scan_supersolution", "sobolev_constant", "solve_dirichlet",
+        "solve_pure_singular", "solve_singular_semilinear", "sweep_lambda", "weak_residual",
+    ]
+    assert all(hasattr(fraclab, name) for name in fraclab.__all__)
+
+
 @pytest.mark.parametrize("argv", [
     ("pure-singular", "--q", "inf"),
     ("solve", "--lambda", "inf"),

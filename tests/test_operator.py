@@ -9,6 +9,7 @@ is exactly the class of error a single-route test cannot see.
 """
 
 import ast
+import math
 import pathlib
 import re
 
@@ -25,17 +26,14 @@ from fraclab import (
     ConvergenceError,
     ParameterError,
     ProblemParams,
-    admissibility,
     apply_operator,
     assemble,
     boundary_distance,
     build_grid,
-    critical_exponent,
     kernel_constant,
     m_matrix_threshold,
     monotone_iteration,
     mountain_pass_search,
-    normalization_constant,
     principal_eigenpair,
     solve_dirichlet,
 )
@@ -117,46 +115,53 @@ EIG_128_S04 = 1.0591802375553772
 
 @pytest.mark.parametrize("s,expected", sorted(CNS_TABLE.items()))
 def test_normalization_constant_frozen(s, expected):
-    assert normalization_constant(1, s) == pytest.approx(expected, rel=1e-13)
     assert kernel_constant(s) == pytest.approx(expected, rel=1e-13)
 
 
 def test_normalization_constant_small_order_decay():
     """the constant vanishes with s, so small orders damp the operator"""
-    values = [normalization_constant(1, s) for s in (0.2, 0.1, 0.05)]
+    values = [kernel_constant(s) for s in (0.2, 0.1, 0.05)]
     assert values[0] > values[1] > values[2] > 0.0
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 1.5, -0.2])
 def test_normalization_constant_rejects_bad_order(s):
     with pytest.raises(ParameterError):
-        normalization_constant(1, s)
+        kernel_constant(s)
 
 
 def test_critical_exponent_values():
-    assert critical_exponent(1, 0.25) == pytest.approx(4.0, rel=1e-14)
-    assert critical_exponent(1, 0.4) == pytest.approx(10.0, rel=1e-12)
-    assert critical_exponent(2, 0.9) == pytest.approx(20.0, rel=1e-12)
+    assert ProblemParams(s=0.25, q=1.0).crit == pytest.approx(4.0, rel=1e-14)
+    assert ProblemParams(s=0.4, q=1.0).crit == pytest.approx(10.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,s", [(1, 0.5), (1, 0.75), (2, 1.0)])
-def test_critical_exponent_needs_subcritical_dimension(n, s):
-    with pytest.raises(ParameterError):
-        critical_exponent(n, s)
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_critical_exponent_needs_subcritical_dimension(s):
+    # n = 1 > 2s fails, so the problem is rejected before crit is formed
+    with pytest.raises(ParameterError, match="n > 2s"):
+        ProblemParams(s=s, q=1.0)
 
 
 def test_admissibility_region():
-    # any positive q is compatible below order one half
-    assert admissibility(2.0, 0.4)
-    assert admissibility(0.5, 0.4)
-    assert admissibility(100.0, 0.25)
-    # above one half the constraint starts to bite
-    assert admissibility(3.4, 0.9)
-    assert not admissibility(30.0, 0.9)
+    # the whole region is admissible (the property below); only q itself is checked
+    for q in [0.0, -1.0, np.inf, np.nan]:
+        with pytest.raises(ParameterError, match="singular exponent q"):
+            ProblemParams(s=0.4, q=q)
     with pytest.raises(ParameterError):
-        admissibility(0.0, 0.4)
-    with pytest.raises(ParameterError):
-        admissibility(2.0, 1.0)
+        ProblemParams(s=1.0, q=2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    q=st.floats(0.0, 1e6, exclude_min=True),
+)
+def test_problem_params_accept_every_admissible_pair(s, q):
+    """q(2s - 1) < 0 < 2s + 1 for every s in (0, 1/2), so the exponent
+    compatibility never rejects a pair that the range checks let through"""
+    p = ProblemParams(s=s, q=q)
+    assert q * (2.0 * s - 1.0) < 2.0 * s + 1.0
+    assert 2.0 <= p.crit < math.inf
 
 
 def test_problem_params_validation():

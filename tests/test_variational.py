@@ -17,7 +17,6 @@ from fraclab import (
     ProblemParams,
     assemble,
     build_grid,
-    critical_quotient,
     energy,
     energy_gap_check,
     estimate_lambda_star,
@@ -95,16 +94,6 @@ def test_gateaux_matches_finite_differences(system64, rng):
         assert fd == pytest.approx(pairing, rel=1e-4, abs=1e-10)
 
 
-def test_critical_quotient_scale_invariant(system128, rng):
-    u = np.abs(rng.standard_normal(128)) + 0.1
-    q1 = critical_quotient(system128, u)
-    q2 = critical_quotient(system128, 37.5 * u)
-    assert q1 > 0.0
-    assert q2 == pytest.approx(q1, rel=1e-8)
-    with pytest.raises(ParameterError):
-        critical_quotient(system128, np.zeros(128))
-
-
 def test_sobolev_constant_frozen(system128):
     """S_CT / cns at s = 0.4, from 50-digit arithmetic"""
     S = sobolev_constant(system128)
@@ -149,8 +138,8 @@ def test_sobolev_constant_closed_form(s):
 def test_ray_peak_of_the_critical_energy(system256, eps):
     """along t phi the lab's critical energy
     1/2 t^2 <A phi, phi> - (lam/crit) t^crit sum massw phi^crit peaks at
-    s Q^{1/(2s)} lam^{-(1-2s)/(2s)}, Q = cns * critical_quotient(phi): the
-    normalization of energy_gap_check's threshold"""
+    s Q^{1/(2s)} lam^{-(1-2s)/(2s)}, Q = <A phi, phi> / (sum massw phi^crit)^{2/crit}:
+    the normalization of energy_gap_check's threshold"""
     # q < 1 keeps the singular term finite where the bubble vanishes
     p = ProblemParams(s=0.4, q=0.5, lam=0.03)
     s, lam = p.s, p.lam
@@ -165,8 +154,8 @@ def test_ray_peak_of_the_critical_energy(system256, eps):
 
     mass = float(np.sum(system256.massw * phi ** p.crit))
     t_star = (a_phi / (lam * mass)) ** (1.0 / (p.crit - 2.0))
-    peak = s * (kernel_constant(s) * critical_quotient(system256, phi)) ** (1.0 / (2.0 * s)) \
-        * lam ** (-(1.0 - 2.0 * s) / (2.0 * s))
+    q_a = a_phi / mass ** (2.0 / p.crit)
+    peak = s * q_a ** (1.0 / (2.0 * s)) * lam ** (-(1.0 - 2.0 * s) / (2.0 * s))
     assert level(t_star) == pytest.approx(peak, rel=1e-12)
     assert level(0.99 * t_star) < level(t_star) > level(1.01 * t_star)
 
@@ -174,7 +163,7 @@ def test_ray_peak_of_the_critical_energy(system256, eps):
 def test_bubble_geometry(grid128, system128):
     p = ProblemParams(s=0.4, q=2.0, lam=0.05)
     S = sobolev_constant(system128)
-    b = make_bubble(grid128, p, eps=0.05, sobolev=S, nu=0.1)
+    b = make_bubble(grid128, p, eps=0.05, sobolev=S)
     x = grid128.nodes
     r = np.abs(x - b.center)
     pw = (1.0 - 2.0 * p.s) / 2.0
@@ -196,15 +185,20 @@ def test_bubble_geometry(grid128, system128):
 
 
 def test_bubble_needs_room(grid128, system128):
+    """the cutoff radius is a tenth of the interval length about its midpoint,
+    so the support (twice the radius) has room on every interval"""
     p = ProblemParams(s=0.4, q=2.0, lam=0.05)
-    with pytest.raises(ParameterError):
-        make_bubble(grid128, p, eps=0.05, sobolev=3.8, nu=0.3)
+    S = sobolev_constant(system128)
+    for a, b in [(-1.0, 1.0), (0.25, 0.75), (-0.5, 1.5), (3.0, 3.001)]:
+        grid = build_grid(a, b, 64)
+        bub = make_bubble(grid, p, eps=0.05, sobolev=S)
+        assert bub.nu == 0.1 * (b - a) and bub.center == 0.5 * (a + b)
+        assert np.all(bub.values[np.abs(grid.nodes - bub.center) >= 2.0 * bub.nu] == 0.0)
+        assert bub.values.max() > 0.0
     # non-finite scales are rejected as parameters, not left to scipy
-    for eps, sobolev, nu in [
-        (np.nan, 3.8, 0.1), (np.inf, 3.8, 0.1), (0.05, np.nan, 0.1), (0.05, 3.8, np.nan),
-    ]:
+    for eps, sobolev in [(np.nan, 3.8), (np.inf, 3.8), (0.05, np.nan)]:
         with pytest.raises(ParameterError):
-            make_bubble(grid128, p, eps=eps, sobolev=sobolev, nu=nu)
+            make_bubble(grid128, p, eps=eps, sobolev=sobolev)
 
 
 @pytest.mark.xfail(
@@ -217,7 +211,7 @@ def test_bubble_concentration_mass(grid256, system256):
     S = sobolev_constant(system256)
     masses = []
     for eps in (0.02, 0.01):
-        b = make_bubble(grid256, p, eps=eps, sobolev=S, nu=0.1)
+        b = make_bubble(grid256, p, eps=eps, sobolev=S)
         masses.append(float(np.sum(system256.massw * b.values**p.crit)))
     assert masses[1] == pytest.approx(masses[0], rel=0.1)
 
@@ -248,15 +242,13 @@ def test_energy_gap_report(system128, params_s04q2):
     assert gap.sup_levels[0] > gap.sup_levels[1] > gap.sup_levels[2]
     assert all(lev > gap.base_level for lev in gap.sup_levels)
     assert np.isfinite(gap.threshold) and gap.threshold > gap.base_level
-    assert gap.threshold_unscaled > gap.base_level
     # the ray peak at the best constant in A's normalization (see
     # test_ray_peak_of_the_critical_energy), not at sobolev_constant alone
     q_a = kernel_constant(p.s) * sobolev_constant(system128)
     rise = p.s * q_a ** (1.0 / (2.0 * p.s)) * p.lam ** (-(1.0 - 2.0 * p.s) / (2.0 * p.s))
     assert gap.threshold - gap.base_level == pytest.approx(rise, rel=1e-12)
-    assert type(gap.ok) is bool and type(gap.all_below) is bool
+    assert type(gap.ok) is bool
     assert gap.ok
-    assert gap.all_below
     assert bool(gap)
 
 

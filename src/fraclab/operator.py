@@ -24,18 +24,21 @@ reads the inertia of a symmetric matrix from one Cholesky attempt.
 
 The grid is uniform, so the Toeplitz stiffness commutes with the reflection
 i -> N-1-i and the system splits into an even and an odd block of about half
-the size.  ``DiscreteSystem.even`` owns that split: the torsion field is
-solved on the even block and mirrored back, ``principal_eigenpair`` takes
-its mode from the even block and tests the odd one by a Cholesky, and the
-monotone iteration and the mountain-pass band run on the even block, from
-fields that ``even_half`` checks to be even.  Each block is formed from
-slices of the stiffness in O(N^2).
+the size.  ``DiscreteSystem.even`` and ``DiscreteSystem.odd`` own that split:
+the torsion field is solved on the even block and mirrored back,
+``principal_eigenpair`` takes its mode from the even block and tests the odd
+one by a Cholesky, and the monotone iteration and the mountain-pass band run
+on the even block, from fields that ``even_half`` checks to be even.  The
+full system holds only the stiffness's Toeplitz column: each block is built
+from it as a Toeplitz plus or minus a Hankel matrix in O(N^2), and the full
+system's products run through the blocks (``DiscreteSystem.apply``), so no
+pipeline forms the dense N x N matrix (8 MB at N = 1024).
 
 Every product of a matrix with a field goes through ``row_products`` except
 ``holder_fit``'s n x 2 least-squares prediction, which is too small to
 matter.  numpy and scipy each load their own OpenBLAS, each with its own
 thread pool; the factorizations and solves run in scipy's, so the products
-run there too: a single field's product with the stiffness or a block
+run there too: a single field's product with a block (or a dense matrix)
 through ``dgemv``, and a whole stack of fields (an elastic band, a ray
 grid) through one ``dgemm``.  No matrix product wakes numpy's pool beside
 them.  Dot products (``np.vecdot``) and norms of fields stay in numpy's
@@ -77,6 +80,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.special import gamma
@@ -179,11 +183,11 @@ def defect(system: "DiscreteSystem", params: ProblemParams, u: Field, g=0.0) -> 
 
     ``u`` may be an (m, n) stack of fields, one per row; the defects come
     back as rows, each equal to the defect of its row alone up to the
-    rounding of ``row_products``' one ``dgemm``.  A regularized
+    rounding of a ``dgemm`` per block (``DiscreteSystem.apply``).  A regularized
     level eps, A u = massw (u + eps)^{-q}, is the frozen-source problem in
     v = u + eps with g = eps (A 1) / massw, because A is linear.
     """
-    return row_products(system.stiffness, u) - system.massw * source(params, u, g)
+    return system.apply(u) - system.massw * source(params, u, g)
 
 
 def jacobian(system: "DiscreteSystem", params: ProblemParams, u: Field) -> np.ndarray:
@@ -218,13 +222,13 @@ def energy(system: "DiscreteSystem", params: ProblemParams, u: Field):
     fields are outside the domain of the functional and rejected.  ``u`` may
     be an (m, n) stack of fields, one per row: the m values come back as an
     array, each equal to the value of its row alone up to the rounding of
-    ``row_products``' one ``dgemm``.
+    a ``dgemm`` per block (``DiscreteSystem.apply``).
     """
     u = np.asarray(u, dtype=float)
     if u.min() < 0.0:
         raise ParameterError("energy is defined on nonnegative fields")
     mw = system.massw
-    quad = 0.5 * np.vecdot(u, row_products(system.stiffness, u))
+    quad = 0.5 * np.vecdot(u, system.apply(u))
     q = params.q
     with np.errstate(divide="ignore"):
         if q == 1.0:
@@ -247,7 +251,7 @@ def kernel_constant(s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ParameterError(f"order s must lie in (0, 1), got {s}")
-    return (
+    return float(
         np.pi ** -0.5 * 2.0 ** (2.0 * s - 1.0) * s * gamma((1.0 + 2.0 * s) / 2.0) / gamma(1.0 - s)
     )
 
@@ -305,23 +309,34 @@ def m_matrix_threshold() -> float:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled stiffness matrix and lumped mass weights on a grid.
+    """Stiffness and lumped mass weights of the full system or of a parity block.
 
-    ``assemble`` marks both arrays read-only, so no cached value can go
-    stale.  The stiffness factor, the even block, the torsion field, the
-    principal eigenpair, the pure singular solution (per q), the default
-    supersolution ladder's candidates and lam-free defects (per q) and the
-    Sobolev constant are computed on first use through ``memo`` and kept
-    for the life of the system; cached arrays are read-only.
+    The full system holds its stiffness as ``column``, the first column of
+    the symmetric Toeplitz matrix A, and ``matrix`` is None; a parity block
+    holds its dense matrix in ``matrix`` and ``column`` is None.  ``apply``
+    multiplies by the stiffness either way, and the full system's products
+    run through its even and odd blocks, so no pipeline forms the dense
+    N x N matrix.  ``stiffness`` is that dense matrix, built on first use; it
+    serves the cold paths that factor or inspect a full-space matrix
+    (``factor``, ``jacobian`` of the full system, ``validate``).
 
-    The even block is a system too.  It keeps its parent's grid, so the node
-    count of a field is read from ``massw``, never from ``grid``.
+    ``assemble`` marks every array read-only, so no cached value can go
+    stale.  The dense stiffness, its factor, the even and the odd block, the
+    torsion field, the principal eigenpair, the pure singular solution (per
+    q), the default supersolution ladder's candidates and lam-free defects
+    (per q) and the Sobolev constant are computed on first use through
+    ``memo`` and kept for the life of the system; cached arrays are
+    read-only.
+
+    A block is a system too.  It keeps its parent's grid, so the node count
+    of a field is read from ``massw``, never from ``grid``.
     """
 
     grid: Grid
     s: float
-    stiffness: np.ndarray
     massw: np.ndarray
+    column: np.ndarray | None = None
+    matrix: np.ndarray | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key, compute):
@@ -329,6 +344,41 @@ class DiscreteSystem:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    @property
+    def stiffness(self) -> np.ndarray:
+        """The dense, read-only stiffness: a block's matrix, or toeplitz(column)."""
+        if self.is_block:
+            return self.matrix
+        return self.memo("stiffness", lambda: read_only(toeplitz(self.column)))
+
+    def apply(self, u: Field) -> Field:
+        """A u for a field, or for each row of an (m, n) stack of fields.
+
+        A block multiplies by its matrix through ``row_products``.  The full
+        system multiplies through its blocks E = P^T A P and O = Q^T A Q (P
+        and Q the lifts of ``even`` and ``odd``): with a and b the left
+        halves of u's even and odd parts, A u = P (E a) / 2 + Q (O b) / 2,
+        where the halving spares the middle node of an odd N, whose lift
+        column is a single 1.  A field or stack whose odd part is exactly
+        zero never touches the odd block, so an even field costs one
+        half-size ``dgemv`` or ``dgemm``.  Each row agrees with the dense
+        product to rounding, not bit for bit.
+        """
+        if self.is_block:
+            return row_products(self.matrix, u)
+        n = self.massw.shape[0]
+        k = n // 2
+        flip = u[..., ::-1]
+        half = row_products(self.even.matrix, 0.5 * (u[..., : n - k] + flip[..., : n - k]))
+        half[..., :k] *= 0.5
+        out = np.concatenate([half, half[..., :k][..., ::-1]], axis=-1)
+        b = 0.5 * (u[..., :k] - flip[..., :k])
+        if b.any():
+            odd = 0.5 * row_products(self.odd.matrix, b)
+            out[..., :k] += odd
+            out[..., n - k:] -= odd[..., ::-1]
+        return out
 
     @property
     def factor(self):
@@ -350,24 +400,24 @@ class DiscreteSystem:
         P is the even lift: column i holds e_i + e_{N-1-i}, and for odd N the
         middle node's column a single 1.  A field u = P v solves a problem of
         this system exactly when v solves it on the block, because the
-        nonlinearity acts node by node; ``lift`` maps v back to u.  The split
-        needs A to equal its reflection.  A block has no split, even a 1 x 1
-        one that equals its reflection, so asking a block raises too.
+        nonlinearity acts node by node; ``lift`` maps v back to u.  A block
+        has no split, so asking a block raises ParameterError.
         """
-        def block():
-            if self.is_block:
-                raise ParameterError("a parity block has no parity split")
-            if not np.array_equal(self.stiffness, self.stiffness[::-1, ::-1]):
-                raise ParameterError("stiffness is not reflection-symmetric: no parity split")
-            a, m = _parity_block(self, 1.0)
-            return DiscreteSystem(grid=self.grid, s=self.s, stiffness=a, massw=m)
+        return self.memo("even", lambda: _parity_block(self, 1.0))
 
-        return self.memo("even", block)
+    @property
+    def odd(self) -> "DiscreteSystem":
+        """Odd block: stiffness Q^T A Q and mass Q^T massw, of size floor(N/2).
+
+        Q is the odd lift, with columns e_i - e_{N-1-i}, i < N/2; the middle
+        node of an odd N carries no odd field.  Asking a block raises.
+        """
+        return self.memo("odd", lambda: _parity_block(self, -1.0))
 
     @property
     def is_block(self) -> bool:
-        """True for a parity block: it has fewer nodes than its grid (N >= 2)."""
-        return self.massw.shape[0] < self.grid.n
+        """True for a parity block, which holds a dense matrix and no column."""
+        return self.column is None
 
     def lift(self, v: Field) -> Field:
         """The field of this system whose left half is the even-block field ``v``."""
@@ -401,26 +451,35 @@ class DiscreteSystem:
         return self.memo("torsion", solve)
 
 
-def _parity_block(system: DiscreteSystem, sign: float) -> tuple:
-    """(Q^T A Q, Q^T massw) for the even (sign 1) or odd (sign -1) lift Q.
+def _parity_block(system: DiscreteSystem, sign: float) -> DiscreteSystem:
+    """The block (Q^T A Q, Q^T massw) for the even (sign 1) or odd (sign -1) lift Q.
 
-    A commutes with the reflection, so entry (i, j) of the block is
-    2 (A[i, j] + sign A[i, N-1-j]), halved in the row and in the column of an
-    odd N's middle node (even lift only).  The odd lift has columns
-    e_i - e_{N-1-i}, i < N/2; the middle node carries no odd field.
+    A is symmetric Toeplitz with column c, so it commutes with the
+    reflection i -> N-1-i, and entry (i, j) of the block is
+    2 (c[|i-j|] + sign c[N-1-i-j]): twice a Toeplitz plus or minus a Hankel
+    matrix of the column, halved in the row and in the column of an odd N's
+    middle node (even lift only).  These are, bit for bit, the entries of
+    the slices 2 (A[:k, :k] + sign A[:k, ::-1][:, :k]) of the dense A, built
+    in O(N^2) without it.
     """
+    if system.is_block:
+        raise ParameterError("a parity block has no parity split")
     n = system.massw.shape[0]
     k = (n + 1) // 2 if sign > 0 else n // 2
-    a = system.stiffness
-    flip = a[:k, ::-1][:, :k]
-    block = a[:k, :k] + flip if sign > 0 else a[:k, :k] - flip
+    c = system.column
+    # strided views of the column, no copies: row i of toep is c[|i - j|]
+    # and row i of hank is c[N-1-i-j], j < k
+    toep = sliding_window_view(np.concatenate([c[k - 1:0:-1], c[:k]]), k)[::-1]
+    hank = sliding_window_view(c[::-1][: 2 * k - 1], k)
+    block = (np.add if sign > 0 else np.subtract)(toep, hank, out=np.empty((k, k)))
     block *= 2.0
     mass = 2.0 * system.massw[:k]
     if sign > 0 and n % 2:
         block[-1] *= 0.5
         block[:, -1] *= 0.5
         mass[-1] = system.massw[k - 1]
-    return read_only(block), read_only(mass)
+    return DiscreteSystem(grid=system.grid, s=system.s, massw=read_only(mass),
+                          matrix=read_only(block))
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -438,11 +497,8 @@ def assemble(grid: Grid, s: float) -> DiscreteSystem:
     if not (0.0 < s < 0.5):
         raise ParameterError(f"order s must lie in (0, 1/2), got {s}")
     col = kernel_constant(s) * grid.h ** (1.0 - 2.0 * s) * interaction_column(grid.n - 1, s)
-    stiffness = toeplitz(col)
     massw = np.full(grid.n, grid.h)
-    stiffness.flags.writeable = False
-    massw.flags.writeable = False
-    return DiscreteSystem(grid=grid, s=float(s), stiffness=stiffness, massw=massw)
+    return DiscreteSystem(grid=grid, s=float(s), massw=read_only(massw), column=read_only(col))
 
 
 def apply_operator(system: DiscreteSystem, u: Field) -> Field:
@@ -451,7 +507,7 @@ def apply_operator(system: DiscreteSystem, u: Field) -> Field:
     n = system.massw.shape[0]
     if u.shape != (n,):
         raise ParameterError(f"field shape {u.shape} does not match grid size {n}")
-    return row_products(system.stiffness, u)
+    return system.apply(u)
 
 
 def nodal_source(system: DiscreteSystem, f, name: str) -> Field:
@@ -494,7 +550,7 @@ def solve_dirichlet(system: DiscreteSystem, f) -> Field:
     e = math.frexp(peak)[1]
     rhs = np.ldexp(rhs, -e)
     u = system.solve(rhs)
-    res = np.linalg.norm(row_products(system.stiffness, u) - rhs)
+    res = np.linalg.norm(system.apply(u) - rhs)
     scale = np.linalg.norm(rhs)
     if not res <= 1e-10 * scale:
         raise ConvergenceError(f"linear solve residual {res / scale:.3e} above 1e-10")
@@ -562,11 +618,10 @@ def is_positive_definite(M: np.ndarray) -> bool:
 
 
 def _principal_eigenpair(system: DiscreteSystem) -> SpectralData:
-    even = system.even
+    even, odd = system.even, system.odd
     lam1, v = _lowest(even.stiffness, even.massw)
-    odd_a, odd_m = _parity_block(system, -1.0)
-    if not is_positive_definite(odd_a - np.diag(lam1 * odd_m)):
-        lam_odd, _ = _lowest(odd_a, odd_m)
+    if not is_positive_definite(odd.stiffness - np.diag(lam1 * odd.massw)):
+        lam_odd, _ = _lowest(odd.stiffness, odd.massw)
         raise ConvergenceError(
             "principal mode is not strictly positive: lowest mode is odd "
             f"(even block {lam1!r}, odd block {lam_odd!r})"
@@ -577,7 +632,7 @@ def _principal_eigenpair(system: DiscreteSystem) -> SpectralData:
     if phi.min() <= 0.0:
         raise ConvergenceError("principal mode is not strictly positive")
     phi = phi / phi.max()
-    quad = np.vecdot(phi, row_products(system.stiffness, phi))
+    quad = np.vecdot(phi, system.apply(phi))
     rayleigh = quad / np.sum(system.massw * phi ** 2)
     if abs(rayleigh - lam1) > 1e-8 * max(1.0, abs(lam1)):
         raise ConvergenceError(

@@ -54,7 +54,6 @@ from .operator import (
     m_matrix_threshold,
     nodal_source,
     read_only,
-    row_products,
     solve_dirichlet,
     source,
 )
@@ -256,9 +255,9 @@ def _ladder_defects(system: DiscreteSystem, params: ProblemParams, multipliers):
     z = system.torsion
     M = np.asarray(multipliers, dtype=float)[:, None]
     ub = w + M * z
-    A, mw = system.stiffness, system.massw
+    mw = system.massw
     with np.errstate(over="ignore"):
-        c = row_products(A, w) + M * row_products(A, z) - mw * source(params.with_lam(0.0), ub)
+        c = system.apply(w) + M * system.apply(z) - mw * source(params.with_lam(0.0), ub)
         b = mw * critical_power(params, ub)
     return ub, c, b
 

@@ -344,6 +344,29 @@ def test_every_factored_matrix_is_fortran_ordered(tmp_path, monkeypatch):
     }
 
 
+def test_pipelines_never_form_the_dense_stiffness(tmp_path, monkeypatch):
+    """no CLI pipeline builds a full system's dense N x N stiffness: every
+    solve runs on a block and every full-space product through the blocks"""
+    built = []
+    memo = fraclab.operator.DiscreteSystem.memo
+
+    def recording(self, key, compute):
+        if key == "stiffness" and key not in self._memo:
+            built.append(self.massw.shape[0])
+        return memo(self, key, compute)
+
+    monkeypatch.setattr(fraclab.operator.DiscreteSystem, "memo", recording)
+    for argv in (["pure-singular"], ["regularity"], ["lambda-star"],
+                 ["solve", "--lambda", "0.03"], ["mountain-pass", "--lambda", "0.02"]):
+        rc, _ = run(tmp_path / argv[0], *argv, "--s", "0.4", "--q", "2", "--N", "64")
+        assert rc == 0
+    assert built == []
+    # the guard sees a build: a full-space Jacobian still forms the dense matrix
+    system = fraclab.operator.assemble(build_grid(-1.0, 1.0, 64), 0.4)
+    fraclab.operator.jacobian(system, ProblemParams(s=0.4, q=2.0), np.ones(64))
+    assert built == [64]
+
+
 def test_blas_thread_count_moves_only_last_bits(tmp_path):
     """The same op at one and at two OpenBLAS threads lands on the same field.
 

@@ -16,11 +16,10 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, eigh, lu_factor, lu_solve, toeplitz
 
 import fraclab
 import fraclab.operator
-import fraclab.solver
 import fraclab.variational
 from fraclab import (
     ConvergenceError,
@@ -38,7 +37,6 @@ from fraclab import (
     solve_dirichlet,
 )
 from fraclab.operator import (
-    _parity_block,
     critical_power,
     defect,
     energy,
@@ -116,6 +114,13 @@ EIG_128_S04 = 1.0591802375553772
 @pytest.mark.parametrize("s,expected", sorted(CNS_TABLE.items()))
 def test_normalization_constant_frozen(s, expected):
     assert kernel_constant(s) == pytest.approx(expected, rel=1e-13)
+
+
+def test_kernel_constant_is_a_python_float():
+    """a Python float, as annotated, not a numpy scalar; float() keeps the bits"""
+    c = kernel_constant(0.4)
+    assert type(c) is float
+    assert c == 0.1409792264999952
 
 
 def test_normalization_constant_small_order_decay():
@@ -379,25 +384,43 @@ def parity_lift(n, sign):
     return Q
 
 
+def sliced_block(A, massw, sign):
+    """The block as slices of the dense stiffness: 2 (A[:k, :k] + sign A[:k, ::-1][:, :k]),
+    halved in the middle row and column of an odd N (even block only)."""
+    n = massw.shape[0]
+    k = (n + 1) // 2 if sign > 0 else n // 2
+    flip = A[:k, ::-1][:, :k]
+    block = 2.0 * (A[:k, :k] + flip if sign > 0 else A[:k, :k] - flip)
+    mass = 2.0 * massw[:k]
+    if sign > 0 and n % 2:
+        block[-1] *= 0.5
+        block[:, -1] *= 0.5
+        mass[-1] = massw[k - 1]
+    return block, mass
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 15])
 def test_parity_blocks_are_projections(n):
-    """the sliced blocks equal Q^T A Q and Q^T M Q; the lift mirrors a half field"""
+    """the blocks equal Q^T A Q and Q^T M Q; the lift mirrors a half field"""
     system = assemble(build_grid(-1.0, 3.0, n), 0.3)
     A, M = system.stiffness, np.diag(system.massw)
-    for sign in (1.0, -1.0):
+    for sign, block in ((1.0, system.even), (-1.0, system.odd)):
         Q = parity_lift(n, sign)
-        a, m = _parity_block(system, sign)
+        a, m = block.stiffness, block.massw
         np.testing.assert_allclose(a, Q.T @ A @ Q, rtol=1e-14, atol=1e-14 * np.abs(A).max())
         assert np.array_equal(np.diag(m), Q.T @ M @ Q)
     even = system.even
-    assert even is system.even
+    assert even is system.even and system.odd is system.odd
     assert even.massw.shape == ((n + 1) // 2,) and not even.stiffness.flags.writeable
     v = np.arange(1.0, even.massw.shape[0] + 1.0)
     assert np.array_equal(system.lift(v), parity_lift(n, 1.0) @ v)
     assert even.is_block and not system.is_block
     # a 1 x 1 block equals its reflection, yet it has no split either
-    with pytest.raises(ParameterError, match="no parity split"):
-        even.even
+    for block in (even, system.odd):
+        with pytest.raises(ParameterError, match="no parity split"):
+            block.even
+        with pytest.raises(ParameterError, match="no parity split"):
+            block.odd
     # the torsion field is the lifted block torsion, which the block solves directly
     full = solve_dirichlet(system, 1.0)
     assert np.array_equal(even.torsion, solve_dirichlet(even, 1.0))
@@ -420,6 +443,52 @@ def test_principal_eigenpair_matches_full_pencil(s, n):
     assert abs(spec.value - vals[0]) <= 1e-12 * vals[0]
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 15, 255, 256])
+def test_parity_blocks_from_the_column_equal_the_slices(n):
+    """the blocks built from the Toeplitz column are the slices of the dense
+    stiffness bit for bit, C-ordered and read-only, and the full system's
+    dense stiffness is toeplitz(column)"""
+    system = assemble(build_grid(-1.0, 1.0, n), 0.35)
+    assert "stiffness" not in system._memo
+    A = system.stiffness
+    assert np.array_equal(A, toeplitz(system.column)) and not A.flags.writeable
+    for sign, block in ((1.0, system.even), (-1.0, system.odd)):
+        a, m = sliced_block(A, system.massw, sign)
+        assert np.array_equal(block.stiffness, a) and np.array_equal(block.massw, m)
+        assert block.stiffness.flags.c_contiguous and not block.stiffness.flags.writeable
+        assert block.column is None and block.stiffness is block.matrix
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 15, 64, 255, 256])
+def test_block_products_match_the_dense_product(n, rng):
+    """A u through the parity blocks equals the dense product to 1e-14 max(|A| |u|)
+    for even, odd and mixed fields, single and stacked"""
+    system = assemble(build_grid(-1.0, 1.0, n), 0.3)
+    A = system.stiffness
+    u = rng.standard_normal(n)
+    U = rng.standard_normal((4, n))
+    fields = [u, u + u[::-1], u - u[::-1], U, U + U[:, ::-1], U - U[:, ::-1]]
+    for v in fields:
+        scale = np.max(row_products(np.abs(A), np.abs(v)))
+        got = system.apply(v)
+        assert got.shape == v.shape
+        assert np.abs(got - row_products(A, v)).max() <= 1e-14 * scale
+
+
+def test_even_field_never_builds_the_odd_block(system64, rng):
+    """an exactly even field or stack is one half-size product: no odd block,
+    no dense stiffness; a mixed field builds the odd block"""
+    system = assemble(system64.grid, system64.s)
+    u = rng.standard_normal(64)
+    even = u + u[::-1]
+    system.apply(even)
+    system.apply(np.vstack([even, 2.0 * even]))
+    defect(system, ProblemParams(s=0.4, q=2.0), 1.0 + np.abs(even))
+    assert set(system._memo) == {"even"}
+    system.apply(u)
+    assert set(system._memo) == {"even", "odd"}
+
+
 def test_odd_lowest_mode_is_diagnosed():
     """small s on a coarse grid: the lowest mode is an odd sawtooth, and the error says so
 
@@ -428,10 +497,8 @@ def test_odd_lowest_mode_is_diagnosed():
     relative, not bit for bit.
     """
     system = assemble(build_grid(-1.0, 1.0, 64), 0.1)
-    even = system.even
-    odd_a, odd_m = _parity_block(system, -1.0)
-    refs = [eigh(a, np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0]
-            for a, m in ((even.stiffness, even.massw), (odd_a, odd_m))]
+    refs = [eigh(b.stiffness, np.diag(b.massw), eigvals_only=True, subset_by_index=[0, 0])[0]
+            for b in (system.even, system.odd)]
     with pytest.raises(ConvergenceError) as info:
         principal_eigenpair(system)
     msg = str(info.value)
@@ -447,7 +514,7 @@ def test_odd_block_cholesky_matches_eigenvalues(s):
     """the odd test's Cholesky of A_o - lam1 M_o agrees with the odd block's lowest eigenvalue"""
     system = assemble(build_grid(-1.0, 1.0, 64), s)
     lam1 = principal_eigenpair(system).value
-    odd_a, odd_m = _parity_block(system, -1.0)
+    odd_a, odd_m = system.odd.stiffness, system.odd.massw
     lam_odd = eigh(odd_a, np.diag(odd_m), eigvals_only=True, subset_by_index=[0, 0])[0]
     assert lam_odd > lam1
     assert is_positive_definite(odd_a - np.diag(lam1 * odd_m))
@@ -467,7 +534,7 @@ def test_is_positive_definite_reads_the_inertia(system64):
 def test_stiffness_and_parity_blocks_are_exactly_symmetric(s, n):
     """A == A.T entry by entry, so the Fortran-ordered view A.T hands LAPACK A itself"""
     system = assemble(build_grid(-1.0, 1.0, n), s)
-    for M in (system.stiffness, system.even.stiffness, _parity_block(system, -1.0)[0]):
+    for M in (system.stiffness, system.even.stiffness, system.odd.stiffness):
         assert np.array_equal(M, M.T)
 
 
@@ -549,10 +616,16 @@ def test_single_field_products_run_in_scipys_blas(system64, rng, monkeypatch):
     monkeypatch.setattr(fraclab.operator, "dgemv", counting)
     p = ProblemParams(s=0.4, q=2.0)
     U = 0.1 + rng.random((3, 64))
+    # one call per block touched: a mixed field takes both, an even one the
+    # even block, a block its own matrix
     defect(system64, p, U[0])
-    assert calls == [(64, 64)]
+    assert calls == [(32, 32), (32, 32)]
+    calls.clear()
+    defect(system64, p, U[0] + U[0][::-1])
+    defect(system64.even, p, U[0, :32])
+    assert calls == [(32, 32), (32, 32)]
     defect(system64, p, U)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_stacked_products_run_as_one_dgemm(system64, rng, monkeypatch):
@@ -569,11 +642,18 @@ def test_stacked_products_run_as_one_dgemm(system64, rng, monkeypatch):
     U = 0.1 + rng.random((3, 64))
     inverse = system64.solve(np.eye(64))
     assert inverse.flags.f_contiguous
-    for product in (lambda: defect(system64, p, U), lambda: energy(system64, p, U),
-                    lambda: row_products(inverse, U)):
+    # a mixed stack takes one dgemm per block; an even stack and a block's
+    # stack one dgemm
+    for product, shapes in [
+        (lambda: defect(system64, p, U), [(32, 32), (32, 32)]),
+        (lambda: energy(system64, p, U), [(32, 32), (32, 32)]),
+        (lambda: energy(system64, p, U + U[:, ::-1]), [(32, 32)]),
+        (lambda: defect(system64.even, p, U[:, :32].copy()), [(32, 32)]),
+        (lambda: row_products(inverse, U), [(64, 64)]),
+    ]:
         blas.clear()
         product()
-        assert blas == [("dgemm", (64, 64))]
+        assert blas == [("dgemm", shape) for shape in shapes]
 
     # every product of the mountain-pass band by a stack of samples is one
     # dgemm: the defects, the inverse solve, the tangents' A-products, the
@@ -588,7 +668,7 @@ def test_stacked_products_run_as_one_dgemm(system64, rng, monkeypatch):
             stacks.append([name for name, _ in blas[before:]])
         return out
 
-    for module in (fraclab.operator, fraclab.solver, fraclab.variational):
+    for module in (fraclab.operator, fraclab.variational):
         monkeypatch.setattr(module, "row_products", spy)
     monkeypatch.setattr(fraclab.variational, "MP_MAX_SWEEPS", 5)
     system = assemble(build_grid(-1.0, 1.0, 64), 0.4)
@@ -736,11 +816,21 @@ def test_source_takes_scalar_field_and_stack(rng, q, lam, g):
 
 @pytest.mark.parametrize("q, lam", [(0.5, 0.0), (2.0, 0.05)])
 def test_defect_is_products_less_weighted_source(system64, rng, q, lam):
+    """exact on a block, whose product is one row_products of its matrix; on
+    the full system the product runs through the blocks and agrees with the
+    dense one to 1e-14 max(|A| |u|)"""
     p = ProblemParams(s=0.4, q=q, lam=lam)
+    block = system64.even
+    g = rng.random(32)
+    for u in (0.1 + rng.random(32), 0.1 + rng.random((3, 32))):
+        expected = row_products(block.stiffness, u) - block.massw * source(p, u, g)
+        assert np.array_equal(defect(block, p, u, g), expected)
+    A = system64.stiffness
     g = rng.random(64)
     for u in (0.1 + rng.random(64), 0.1 + rng.random((3, 64))):
-        expected = row_products(system64.stiffness, u) - system64.massw * source(p, u, g)
-        assert np.array_equal(defect(system64, p, u, g), expected)
+        expected = row_products(A, u) - system64.massw * source(p, u, g)
+        scale = np.max(row_products(np.abs(A), np.abs(u)))
+        assert np.abs(defect(system64, p, u, g) - expected).max() <= 1e-14 * scale
 
 
 def test_frozen_source_never_forms_the_critical_power():

@@ -2,9 +2,9 @@
 
 The package assembles the exact Toeplitz stiffness matrix of the fractional
 Laplacian on an interval, solves the singular semilinear problem by one
-damped Newton started from a reshaped torsion field, follows the minimal
-branch by monotone iteration up to an estimated extremal parameter,
-certifies that parameter against a one-dimensional eigenvalue bound,
+damped Newton started from a reshaped torsion field, climbs to the minimal
+solution by the same Newton from below, up to an estimated extremal
+parameter, certifies it against a one-dimensional eigenvalue bound,
 locates a second solution at a mountain-pass level, and measures boundary
 growth exponents.
 """

@@ -6,30 +6,31 @@ symmetric positive definite on the whole positive cone, so each step
 factorizes with Cholesky and descends the residual, and no regularization
 ladder is needed: the cold start is the torsion field reshaped to w's
 boundary growth and scaled so that its peak is consistent, plus the linear
-solution with source g.  The same Newton factorizes with LU when the
-critical term is present (mountain-pass polish).  The kernels carry no
-regularization level: the problem regularized at eps, with (u + eps)^{-q},
-is the frozen-source problem in u + eps with g = eps (A 1) / massw, since
-A is linear.  The nonlinearity is spelled once, in ``operator.source``.
+solution with source g.  The kernels carry no regularization level: the
+problem regularized at eps, with (u + eps)^{-q}, is the frozen-source
+problem in u + eps with g = eps (A 1) / massw, since A is linear.  The
+nonlinearity is spelled once, in ``operator.source``.
 
 On top of it sit the pure singular solution (g = 0), solved once per system
 and q and kept on the system, supersolution construction by a multiplier
 ladder over the torsion-like profile, the largest lam at which a rung
-validates in closed form, and the monotone iteration that climbs from the
-pure singular solution to the minimal solution of the full problem by warm
-Newton solves with the frozen source lam u^{crit-1}.  A rung's defect is
-c - lam b with lam-free c and b, and A(w + M z) = A w + M A z, so c and b
-are evaluated for every rung in one pass; for the default ladder that pass
-runs once per system and q and is kept on the system, and every scan and
-the closed-form threshold read the same arrays.
+validates in closed form, and the minimal solution: the same Newton on the
+full problem at lam, with Cholesky, climbs to it from the pure singular
+solution, and a Jacobian with no Cholesky factor on the way means that
+there is none.  Only the mountain-pass polish and continuation ask Newton
+for LU.  A rung's defect is c - lam b with lam-free c and b, and
+A(w + M z) = A w + M A z, so c and b are evaluated for every rung in one
+pass; for the default ladder that pass runs once per system and q and is
+kept on the system, and every scan and the closed-form threshold read the
+same arrays.
 
 w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
 its report is measured on the full system.  The minimal solution is unique
-too, so the monotone iteration runs every step on the even block from the
-left halves of its even base and bound, and the mountain-pass search runs
-there as well (see ``variational``).  Solves with a source g stay in the
-full space.
+too, so its Newton runs on the even block from the left halves of its even
+base and bound, and the mountain-pass search runs there as well (see
+``variational``), and so does the upper envelope, whose source is a
+constant.  Solves with a nodal source g stay in the full space.
 
 Every report of a computed field is built by ``measure``, so its verdict
 ``converged`` is decided there and nowhere else.
@@ -86,26 +87,19 @@ NEWTON_TRIALS = 22
 # also sets the width of the lambda* bracket (see ladder_thresholds).
 ORDER_SLACK = 1e-8
 
-# Monotone iteration: step budget, the sup-norm change at which it has
-# settled, and the sup norm beyond which it counts as diverged.
-MONOTONE_CAP = 500
-MONOTONE_TOL = 1e-9
-DIVERGENCE_SUP = 1e6
-
 
 def weak_residual(system: DiscreteSystem, params: ProblemParams, u: Field, g=0.0) -> float:
     """Sup-norm of the nodal defect A u - massw (u^{-q} + g + lam u^{crit-1})."""
     return float(np.abs(defect(system, params, np.asarray(u, dtype=float), g)).max())
 
 
-def measure(system, params, u, iterations, branch, g=0.0, settled=True) -> SolveReport:
+def measure(system, params, u, iterations, branch, g=0.0) -> SolveReport:
     """The report of a field u computed for A u = massw (u^{-q} + g + lam u^{crit-1}).
 
     The residual is ``weak_residual`` and the energy ``operator.energy``
     less the source's work sum massw g u, so the energy is the functional
     whose gradient is that residual's defect; both are taken at ``params``.
-    converged is set when the solver ``settled`` and the residual is at most
-    RESIDUAL_TOL.
+    converged is set when the residual is at most RESIDUAL_TOL.
     """
     res = weak_residual(system, params, u, g)
     work = float(np.sum(system.massw * g * u)) if np.any(g) else 0.0
@@ -114,38 +108,47 @@ def measure(system, params, u, iterations, branch, g=0.0, settled=True) -> Solve
         iterations=iterations,
         energy=energy(system, params, u) - work,
         branch=branch,
-        converged=settled and res <= RESIDUAL_TOL,
+        converged=res <= RESIDUAL_TOL,
     )
 
 
-def newton(system, params, u, g=0.0):
-    """Damped Newton on ``defect(system, params, u, g) = 0`` from ``u``.
+def newton_iterates(system, params, u, g=0.0, spd=True):
+    """Damped Newton on ``defect(system, params, u, g) = 0`` from ``u``: its accepted iterates.
 
     Each step tries the lengths t = 1, 1/2, ..., 2^-(NEWTON_TRIALS - 1)
     until the trial iterate stays above POSITIVITY_FLOOR and lowers the
-    defect norm; it stops when the accepted step is at most
-    NEWTON_STEP_TOL relative to the iterate.  The Jacobian is factorized
-    with Cholesky when lam = 0 (it is then SPD) and with LU otherwise, in
-    place: ``jacobian`` hands over a fresh Fortran-ordered array, so LAPACK
-    gets it without a copy.  Each defect is evaluated once: the accepted
-    trial's seeds the next step.  Returns (u, iterations).  When no trial
-    descends, returns the iterate if its Newton step is within that
-    tolerance (at a converged iterate the defect sits at rounding level and
-    no step can lower it) and raises ConvergenceError ("line search
-    stalled") otherwise.  Taking NEWTON_MAX_ITER steps, or a non-finite
-    defect, Jacobian diagonal or step (an overflowed source, say), raises
-    ConvergenceError too.
+    defect norm, and yields it; the run ends once the accepted step is at
+    most NEWTON_STEP_TOL relative to the iterate.  The Jacobian is
+    factorized in place (``jacobian`` hands over a fresh Fortran-ordered
+    array), with Cholesky when ``spd`` and with LU otherwise; a Jacobian
+    with no Cholesky factor raises ConvergenceError.  No factor or solve
+    scans its input for non-finite entries: the defect and the step are
+    checked here, the Jacobian diagonal by ``jacobian``, and A is finite.
+    Each defect is evaluated once: the accepted trial's seeds the next
+    step.  When no trial descends, the run ends if the Newton step is
+    within that tolerance (at a converged iterate the defect sits at
+    rounding level and no step can lower it) and raises ConvergenceError
+    ("line search stalled") otherwise.  Taking NEWTON_MAX_ITER steps, or
+    a non-finite defect, Jacobian diagonal or step (an overflowed source,
+    say), raises ConvergenceError too.
     """
-    spd = params.lam == 0.0
     r = defect(system, params, u, g)
     for it in range(NEWTON_MAX_ITER):
         if not np.isfinite(r).all():
             raise ConvergenceError(f"non-finite defect after {it} Newton steps")
         J = jacobian(system, params, u)
         if spd:
-            du = cho_solve(cho_factor(J, overwrite_a=True), -r)
+            try:
+                factor = cho_factor(J, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                raise ConvergenceError(
+                    f"Jacobian not positive definite after {it} Newton steps: "
+                    "no minimal solution on this path"
+                ) from None
+            du = cho_solve(factor, -r, check_finite=False)
         else:
-            du = lu_solve(lu_factor(J, overwrite_a=True), -r)
+            factor = lu_factor(J, overwrite_a=True, check_finite=False)
+            du = lu_solve(factor, -r, check_finite=False)
         if not np.isfinite(du).all():
             raise ConvergenceError(f"non-finite step after {it} Newton steps")
         t = 1.0
@@ -163,13 +166,27 @@ def newton(system, params, u, g=0.0):
                 t *= 0.5
             else:
                 if np.linalg.norm(du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
-                    return u, it
+                    return
                 raise ConvergenceError(f"line search stalled after {it} Newton steps")
         # the accepted trial is the next iterate and its defect the next r
         u, r = ut, rt
+        yield u
         if np.linalg.norm(t * du) <= NEWTON_STEP_TOL * (1.0 + np.linalg.norm(u)):
-            return u, it + 1
+            return
     raise ConvergenceError(f"no convergence within {NEWTON_MAX_ITER} Newton steps")
+
+
+def newton(system, params, u, g=0.0, spd=True):
+    """The last iterate of ``newton_iterates`` and their count: (u, iterations).
+
+    u is the start itself when no step was accepted.  ``spd`` picks the
+    factorization as there: Cholesky by default, LU (spd=False) for the
+    indefinite Jacobians of the mountain-pass polish and continuation.
+    """
+    its = 0
+    for its, u in enumerate(newton_iterates(system, params, u, g, spd), 1):
+        pass
+    return u, its
 
 
 def solve_singular_semilinear(system: DiscreteSystem, params: ProblemParams, g=0.0):
@@ -364,25 +381,24 @@ def monotone_iteration(
     bound: Field | None = None,
     trace: list | None = None,
 ):
-    """Iterate L(u_k) = lam u_{k-1}^{crit-1} upward from ``base``.
+    """The minimal solution: Newton on the full problem at lam from ``base``, with Cholesky.
 
     ``base`` defaults to the system's pure singular solution w; a minimal
-    solution at a smaller lam is a warm start too.  Each step solves the
-    frozen-source singular problem by one damped Newton started from the
-    previous iterate (the first from ``base``): the Jacobian is SPD on the
-    positive cone, so no regularized stage is needed.  A step whose
-    Newton fails or leaves the positive cone ends the iteration with status
-    inner-failure.
-    The sequence is nondecreasing; its limit, when the sup norms stay
-    bounded, is the minimal solution.  ``bound`` may carry a validated
-    supersolution, in which case every iterate is checked against it.  The
-    iteration has settled when a step changes no node by more than
-    MONOTONE_TOL; its report is then ``measure``d at ``params``, so
-    converged also needs the residual at most RESIDUAL_TOL.  Running
-    MONOTONE_CAP steps is measured too but never converged.  Divergence
-    (sup norm beyond DIVERGENCE_SUP, or a source lam u^{crit-1} that
-    overflows), an inner failure or an escaped bound report residual and
-    energy inf.
+    solution at a smaller lam is a warm start too.  Both are subsolutions
+    and the source u^{-q} + lam u^{crit-1} is convex, so Newton's iterates
+    rise and stay below every supersolution while the Jacobian is
+    inverse-positive (quasilinearization; Ortega & Rheinboldt 1970, 13.3).
+    The source's derivative rises with u, so below the minimal solution
+    the Jacobian dominates the Jacobian there: a Jacobian with no Cholesky
+    factor means that no minimal solution lies on this path (lam past the
+    discrete fold), and the limit has Morse index 0.  This is proved for s
+    at or above the M-matrix threshold and observed below it.
+    ``iterations`` counts the accepted Newton steps.  ``bound`` may carry
+    a validated supersolution, in which case every iterate is checked
+    against it.  A run that ends at Newton's step tolerance is
+    ``measure``d at ``params``, so converged needs the residual at most
+    RESIDUAL_TOL.  A failed Cholesky, any other Newton failure or an
+    escaped bound ends the run unconverged, with residual and energy inf.
 
     Every iterate is even, so the steps run on ``system.even`` from the
     left halves of ``base`` and ``bound`` (half-size Cholesky factors), and
@@ -394,57 +410,34 @@ def monotone_iteration(
         raise ParameterError("lam must be nonnegative")
     if base is None:
         base, _ = solve_pure_singular(system, params)
-    block = system.even
     u = system.even_half(base, "the starting field")
     if bound is not None:
         bound = system.even_half(bound, "the supersolution")
         if np.any(u > bound + 1e-8):
             raise ParameterError("starting field must sit below the supersolution")
-    frozen = params.with_lam(0.0)
-    status = "cap"
     k = 0
-    for k in range(1, MONOTONE_CAP + 1):
-        with np.errstate(over="ignore"):
-            g = params.lam * critical_power(params, u)
-        if not np.isfinite(g).all():
-            # the source overflowed: the sup norm is past any useful bound
-            status = "diverged"
-            break
-        try:
-            unew, _ = newton(block, frozen, u, g)
-        except ConvergenceError:
-            status = "inner-failure"
-            break
-        if unew.min() <= 0.0:
-            status = "inner-failure"
-            break
-        inc = unew - u
-        if trace is not None:
-            entry = {
-                "k": k,
-                "min_increment": float(inc.min()),
-                "sup_change": float(np.abs(inc).max()),
-                "sup": float(unew.max()),
-            }
-            if bound is not None:
-                entry["below_bound"] = bool(np.all(unew <= bound + 1e-8))
-            trace.append(entry)
-        u = unew
-        if bound is not None and np.any(u > bound + 1e-6 * (1.0 + np.abs(bound))):
-            status = "escaped-bound"
-            break
-        if u.max() > DIVERGENCE_SUP:
-            status = "diverged"
-            break
-        if np.abs(inc).max() <= MONOTONE_TOL:
-            status = "converged"
-            break
+    try:
+        for k, unew in enumerate(newton_iterates(system.even, params, u), 1):
+            inc = unew - u
+            u = unew
+            if trace is not None:
+                entry = {
+                    "k": k,
+                    "min_increment": float(inc.min()),
+                    "sup_change": float(np.abs(inc).max()),
+                    "sup": float(u.max()),
+                }
+                if bound is not None:
+                    entry["below_bound"] = bool(np.all(u <= bound + 1e-8))
+                trace.append(entry)
+            if bound is not None and np.any(u > bound + 1e-6 * (1.0 + np.abs(bound))):
+                raise ConvergenceError("an iterate escaped the supersolution")
+    except ConvergenceError:
+        return system.lift(u), SolveReport(
+            residual=np.inf, iterations=k, energy=np.inf, branch="minimal", converged=False
+        )
     u = system.lift(u)
-    if status in ("converged", "cap"):
-        return u, measure(system, params, u, k, "minimal", settled=status == "converged")
-    return u, SolveReport(
-        residual=np.inf, iterations=k, energy=np.inf, branch="minimal", converged=False
-    )
+    return u, measure(system, params, u, k, "minimal")
 
 
 @dataclass(frozen=True)
@@ -527,14 +520,15 @@ def envelope_check(
     w is the system's pure singular solution; z solves the singular
     problem with the constant source lam * (sup u)^{crit-1}, the natural
     upper envelope for any positive solution of the full problem with that
-    sup norm.
+    sup norm.  That source is a constant, so z is even: it is solved on
+    ``system.even`` and lifted, as w is.
     """
     u = np.asarray(u, dtype=float)
     if u.min() <= 0.0:
         raise ParameterError("field must be strictly positive")
     w, _ = solve_pure_singular(system, params)
     g_top = params.lam * critical_power(params, float(u.max()))
-    z, _ = solve_singular_semilinear(system, params, g_top)
+    z = system.lift(solve_singular_semilinear(system.even, params, g_top)[0])
     low = u - w
     high = z - u
     il = int(np.argmin(low))

@@ -267,7 +267,7 @@ def _polish_critical_point(system, params, v0, floor, floor_level):
 
     v0, the floor and the limit are fields of the even block of ``system``.
     The Jacobian here is indefinite (the critical term pushes down), so
-    ``newton`` factorizes with LU.  The limit is accepted only if the
+    ``newton`` is asked for LU.  The limit is accepted only if the
     gradient of its lift has 2-norm below 1e-12 in ``system``, it stays in
     the cone above the floor, sits strictly above the floor level, and is
     A-distant from the floor; otherwise None.
@@ -275,8 +275,8 @@ def _polish_critical_point(system, params, v0, floor, floor_level):
     block = system.even
     A = block.stiffness
     try:
-        v, _ = newton(block, params, v0)
-    except (ConvergenceError, np.linalg.LinAlgError):
+        v, _ = newton(block, params, v0, spd=False)
+    except ConvergenceError:
         return None
     if not np.linalg.norm(defect(system, params, system.lift(v))) < 1e-12:
         return None
@@ -456,12 +456,13 @@ def _continue_from_below(system, params, base, failure, trace):
 
     The fallback of a band that spends its budget.  At lam_0 =
     (1 - MP_FALLBACK_DROP) lam the minimal solution is Newton's limit from
-    ``base`` and a band runs from it; its point is then carried to lam by
-    Newton solves at MP_CONTINUATION_STEPS - 1 evenly spaced values, each
-    started from the last, and polished at lam through the acceptance gates
-    of ``_polish_critical_point``.  Fields live on the even block.  Returns
-    (point, the band's sweeps); raises ConvergenceError, its message
-    ``failure`` and the reason, when any stage fails.
+    ``base``, with Cholesky, and a band runs from it; its point is then
+    carried to lam by Newton solves with LU at MP_CONTINUATION_STEPS - 1
+    evenly spaced values, each started from the last, and polished at lam
+    through the acceptance gates of ``_polish_critical_point``.  Fields
+    live on the even block.  Returns (point, the band's sweeps); raises
+    ConvergenceError, its message ``failure`` and the reason, when any
+    stage fails.
     """
     block = system.even
     low = params.with_lam((1.0 - MP_FALLBACK_DROP) * params.lam)
@@ -474,10 +475,10 @@ def _continue_from_below(system, params, base, failure, trace):
             trace.append({"stage": "fallback", "lam": low.lam, "sweeps": sweeps})
         for j in range(1, MP_CONTINUATION_STEPS):
             p = params.with_lam(low.lam + (params.lam - low.lam) * j / MP_CONTINUATION_STEPS)
-            v, its = newton(block, p, v)
+            v, its = newton(block, p, v, spd=False)
             if trace is not None:
                 trace.append({"stage": "continue", "lam": p.lam, "newton_iters": its})
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+    except ConvergenceError as exc:
         raise ConvergenceError(
             f"{failure}; continuation from lam = {low.lam!r} failed: {exc}"
         ) from None

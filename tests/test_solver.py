@@ -1,5 +1,7 @@
 """Tests for the singular Newton solver and the monotone machinery."""
 
+import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -32,8 +34,6 @@ from fraclab import (
     weak_residual,
 )
 from fraclab.solver import (
-    MONOTONE_CAP,
-    MONOTONE_TOL,
     NEWTON_TRIALS,
     ORDER_SLACK,
     POSITIVITY_FLOOR,
@@ -42,6 +42,8 @@ from fraclab.solver import (
     measure,
     newton,
 )
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def ladder_solve(system, params, g=0.0, head=0.1, levels=15):
@@ -372,11 +374,14 @@ def test_newton_types_non_finite_defect_and_step(monkeypatch):
     g[3] = np.inf
     with pytest.raises(ConvergenceError, match="non-finite defect"):
         newton(system, params, w, g)
-    monkeypatch.setattr(fraclab.solver, "jacobian", lambda *args: np.zeros((16, 16)))
+    monkeypatch.setattr(fraclab.solver, "jacobian", lambda *args: np.zeros((16, 16), order="F"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # lu_factor's singular-matrix warning
         with pytest.raises(ConvergenceError, match="non-finite step"):
-            newton(system, params.with_lam(0.01), w)
+            newton(system, params.with_lam(0.01), w, spd=False)
+    # a Jacobian with no Cholesky factor: typed, not scipy's LinAlgError
+    with pytest.raises(ConvergenceError, match="not positive definite after 0 Newton steps"):
+        newton(system, params.with_lam(0.01), w)
 
 
 def test_newton_types_overflowed_jacobian():
@@ -662,6 +667,19 @@ def test_monotone_iteration_rejects_base_above_bound(system128, params_s04q2, w1
         )
 
 
+def test_monotone_iteration_stops_at_an_escaped_bound(system128, params_s04q2, w128):
+    """a bound below the minimal solution ends the run at the first
+    iterate above it, unconverged and unmeasured"""
+    trace = []
+    u, report = monotone_iteration(
+        system128, params_s04q2.with_lam(0.03), bound=w128 + 1e-3, trace=trace
+    )
+    assert not report.converged
+    assert report.residual == np.inf and report.energy == np.inf
+    assert report.iterations == len(trace) == 1 and not trace[0]["below_bound"]
+    assert u.max() == trace[0]["sup"]
+
+
 def test_monotone_iteration_trace(system128, params_s04q2, w128):
     p = params_s04q2.with_lam(0.03)
     sup = scan_supersolution(system128, p)
@@ -680,36 +698,74 @@ def test_monotone_iteration_trace(system128, params_s04q2, w128):
     assert (sup.values - u).min() >= -1e-8
 
 
+def record_factors(monkeypatch):
+    """(shape, factored) of every cho_factor call in ``solver`` and
+    ``operator``, factored False for a matrix with no Cholesky factor; an
+    lu_factor call in ``solver`` fails the test"""
+    calls = []
+    real_cho_factor = fraclab.solver.cho_factor
+
+    def recording_cho_factor(a, *args, **kwargs):
+        try:
+            out = real_cho_factor(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls.append((a.shape, False))
+            raise
+        calls.append((a.shape, True))
+        return out
+
+    def refuse_lu(*args, **kwargs):
+        raise AssertionError("lu_factor called")
+
+    for module in (fraclab.solver, fraclab.operator):
+        monkeypatch.setattr(module, "cho_factor", recording_cho_factor)
+    monkeypatch.setattr(fraclab.solver, "lu_factor", refuse_lu)
+    return calls
+
+
 def test_monotone_steps_are_warm_newton_at_zero_eps(system128, params_s04q2, w128, monkeypatch):
-    """each step is one frozen-source Newton solve on the even block, the first
-    from w's half, with source lam u^{crit-1} of the iterate it starts from"""
-    starts = []
-    real_newton = fraclab.solver.newton
+    """each step is one Newton step of the full problem at lam on the even
+    block, the first from w's half, factored with a half-size Cholesky"""
+    jacobians = []
+    real_jacobian = fraclab.solver.jacobian
     p = params_s04q2.with_lam(0.03)
 
-    def recording_newton(system, params, u, g=0.0):
-        starts.append((system, params, u.copy(), g))
-        return real_newton(system, params, u, g)
+    def recording_jacobian(system, params, u):
+        jacobians.append((system, params, u.copy()))
+        return real_jacobian(system, params, u)
 
-    monkeypatch.setattr(fraclab.solver, "newton", recording_newton)
-    u, report = monotone_iteration(system128, p)
+    monkeypatch.setattr(fraclab.solver, "jacobian", recording_jacobian)
+    factors = record_factors(monkeypatch)
+    trace = []
+    u, report = monotone_iteration(system128, p, trace=trace)
     assert report.converged
-    assert len(starts) == report.iterations
-    for sy, frozen, start, g in starts:
-        assert sy is system128.even and frozen.lam == 0.0
-        np.testing.assert_array_equal(g, p.lam * start ** (p.crit - 1.0))
-    np.testing.assert_array_equal(starts[0][2], w128[:64])
+    assert report.iterations == len(trace) >= 3
+    # one factor per accepted step, and one more when the run ends stalled
+    assert len(factors) in (report.iterations, report.iterations + 1)
+    assert factors == [((64, 64), True)] * len(jacobians)
+    for sy, params, _ in jacobians:
+        assert sy is system128.even and params == p
+    np.testing.assert_array_equal(jacobians[0][2], w128[:64])
+    for (_, _, a), (_, _, b) in zip(jacobians, jacobians[1:]):
+        assert (b - a).min() >= -1e-14 * b.max()
+
+
+# The Picard reference: the frozen-source steps A u_k = massw (u_k^{-q} +
+# lam u_{k-1}^{crit-1}) from w, each a warm Newton in the full space, until
+# a step changes no node by more than PICARD_TOL.
+PICARD_CAP = 500
+PICARD_TOL = 1e-9
 
 
 def full_space_monotone(system, params):
-    """Reference: the monotone steps from w, each a warm Newton in the full space."""
+    """Reference: the Picard iteration to the minimal solution, in the full space."""
     u, _ = solve_pure_singular(system, params)
     frozen = params.with_lam(0.0)
-    for k in range(1, MONOTONE_CAP + 1):
+    for _ in range(PICARD_CAP):
         unew, _ = newton(system, frozen, u, params.lam * u ** (params.crit - 1.0))
         inc, u = unew - u, unew
-        if np.abs(inc).max() <= MONOTONE_TOL:
-            return u, k
+        if np.abs(inc).max() <= PICARD_TOL:
+            return u
     raise AssertionError("reference loop did not settle")
 
 
@@ -718,9 +774,50 @@ def test_monotone_block_matches_full_space(s, q):
     system = assemble(build_grid(-1.0, 1.0, 128), s)
     p = ProblemParams(s=s, q=q, lam=0.03)
     u, report = monotone_iteration(system, p)
-    ref, steps = full_space_monotone(system, p)
-    assert report.converged and report.iterations == steps
-    assert np.abs(u - ref).max() <= 1e-13 * ref.max()
+    ref = full_space_monotone(system, p)
+    assert report.converged
+    assert np.abs(u - ref).max() <= 1e-9 * ref.max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    s=st.floats(fraclab.operator.m_matrix_threshold(), 0.49),
+    q=st.floats(0.25, 4.0),
+    f=st.floats(0.05, 0.95),
+    n=st.integers(8, 64),
+)
+def test_monotone_newton_rises_below_the_supersolution(s, q, f, n):
+    """in the M-matrix regime Newton from w rises, stays below the validated
+    supersolution and ends at a minimal solution of Morse index 0"""
+    system = assemble(build_grid(-1.0, 1.0, n), s)
+    params = ProblemParams(s=s, q=q)
+    p = params.with_lam(f * estimate_lambda_star(system, params).estimate)
+    sup = scan_supersolution(system, p)
+    assert sup.valid
+    trace = []
+    u, report = monotone_iteration(system, p, bound=sup.values, trace=trace)
+    assert report.converged
+    for entry in trace:
+        assert entry["min_increment"] >= -1e-14 * entry["sup"]
+        assert entry["below_bound"]
+    assert fraclab.operator.is_positive_definite(fraclab.operator.jacobian(system, p, u))
+
+
+def test_monotone_newton_work_count(monkeypatch):
+    """from w up to 0.95 lambda*_ref at N = 256: at most 8 Cholesky factors,
+    all of the half-size block, and no LU"""
+    table = json.loads((PERFBENCH / "table.json").read_text())
+    factors = record_factors(monkeypatch)
+    for pair in table["pairs"]:
+        system = assemble(build_grid(-1.0, 1.0, 256), pair["s"])
+        params = ProblemParams(s=pair["s"], q=pair["q"])
+        solve_pure_singular(system, params)
+        for f in (0.5, 0.95):
+            factors.clear()
+            p = params.with_lam(f * pair["lambda_star"]["256"])
+            _, report = monotone_iteration(system, p)
+            assert report.converged, (pair, f)
+            assert 0 < len(factors) <= 8 and set(factors) == {((128, 128), True)}, (pair, f)
 
 
 def test_monotone_iteration_on_odd_grid_is_even(params_s04q2):
@@ -774,13 +871,18 @@ def test_monotone_iteration_divergence(system128, params_s04q2):
     assert report.iterations < 50
 
 
-def test_monotone_divergence_stays_silent(system128, params_s04q2):
-    """a diverging run reports failure without numeric warnings on the way"""
+def test_monotone_divergence_stays_silent(system128, params_s04q2, monkeypatch):
+    """past the fold the run ends at a failed Cholesky, without numeric
+    warnings on the way: no minimal solution lies on this path"""
+    factors = record_factors(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, report = monotone_iteration(system128, params_s04q2.with_lam(0.2))
     assert not report.converged
-    assert u.max() > 1e6
+    assert report.residual == np.inf and report.energy == np.inf
+    assert factors[-1] == ((64, 64), False) and all(ok for _, ok in factors[:-1])
+    # the last accepted iterate, still far below any blow-up
+    assert 1.0 < u.max() < 2.0
 
 
 def test_huge_lambda_fails_silently():
@@ -793,7 +895,7 @@ def test_huge_lambda_fails_silently():
             system, ProblemParams(s=0.4, q=2.0, lam=1e200), trace=trace
         )
     assert not report.converged
-    assert report.iterations == 1 and not trace  # inner-failure at the first step
+    assert report.iterations == 0 and not trace  # the first defect is not finite
     assert report.residual == np.inf
 
 
@@ -825,9 +927,12 @@ def test_envelope_check_passes_for_minimal(system128, params_s04q2, w128, monkey
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(fraclab.solver, "solve_singular_semilinear", counting_solve)
+    factors = record_factors(monkeypatch)
     env = envelope_check(system128, p, u)
-    # the system's w is reused; only the upper envelope is solved
+    # the system's w is reused; only the upper envelope is solved, on the
+    # even block
     assert len(calls) == 1
+    assert factors and {shape for shape, _ in factors} == {(64, 64)}
     assert bool(env)
     assert env.lower_ok and env.upper_ok
     assert env.max_u == pytest.approx(u.max(), rel=1e-14)

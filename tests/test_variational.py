@@ -486,5 +486,5 @@ def test_polish_rejects_a_limit_with_a_gradient(polish_case, monkeypatch):
     system, p, floor, floor_level, second = polish_case
     polish = fraclab.variational._polish_critical_point
     assert polish(system, p, second, floor, floor_level) is not None
-    monkeypatch.setattr(fraclab.variational, "newton", lambda sy, pa, u: (u * (1.0 + 1e-6), 0))
+    monkeypatch.setattr(fraclab.variational, "newton", lambda sy, pa, u, spd: (u * (1.0 + 1e-6), 0))
     assert polish(system, p, second, floor, floor_level) is None

@@ -17,12 +17,11 @@ ladder over the torsion-like profile, the largest lam at which a rung
 validates in closed form, and the minimal solution: the same Newton on the
 full problem at lam, with Cholesky, climbs to it from the pure singular
 solution, and a Jacobian with no Cholesky factor on the way means that
-there is none.  Only the mountain-pass polish and continuation ask Newton
-for LU.  A rung's defect is c - lam b with lam-free c and b, and
-A(w + M z) = A w + M A z, so c and b are evaluated for every rung in one
-pass; for the default ladder that pass runs once per system and q and is
-kept on the system, and every scan and the closed-form threshold read the
-same arrays.
+there is none.  Only the mountain-pass polish asks Newton for LU.  A
+rung's defect is c - lam b with lam-free c and b, and A(w + M z) =
+A w + M A z, so c and b are evaluated for every rung in one pass; for the
+default ladder that pass runs once per system and q and is kept on the
+system, and every scan and the closed-form threshold read the same arrays.
 
 w is unique and therefore even, so it is solved on the system's even block
 (half the size, one eighth of the factorization work) and mirrored back;
@@ -181,7 +180,7 @@ def newton(system, params, u, g=0.0, spd=True):
 
     u is the start itself when no step was accepted.  ``spd`` picks the
     factorization as there: Cholesky by default, LU (spd=False) for the
-    indefinite Jacobians of the mountain-pass polish and continuation.
+    indefinite Jacobians of the mountain-pass polish.
     """
     its = 0
     for its, u in enumerate(newton_iterates(system, params, u, g, spd), 1):
@@ -413,7 +412,7 @@ def monotone_iteration(
     u = system.even_half(base, "the starting field")
     if bound is not None:
         bound = system.even_half(bound, "the supersolution")
-        if np.any(u > bound + 1e-8):
+        if np.any(u > bound + ORDER_SLACK):
             raise ParameterError("starting field must sit below the supersolution")
     k = 0
     try:
@@ -428,7 +427,7 @@ def monotone_iteration(
                     "sup": float(u.max()),
                 }
                 if bound is not None:
-                    entry["below_bound"] = bool(np.all(u <= bound + 1e-8))
+                    entry["below_bound"] = bool(np.all(u <= bound + ORDER_SLACK))
                 trace.append(entry)
             if bound is not None and np.any(u > bound + 1e-6 * (1.0 + np.abs(bound))):
                 raise ConvergenceError("an iterate escaped the supersolution")

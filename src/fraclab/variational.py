@@ -9,8 +9,7 @@ singular nonlinearity: u^{1-q}/(1-q) for q != 1 and log u for q = 1.
 Minimal solutions are local minimizers on the cone above the pure singular
 solution; a second solution appears at a mountain-pass level.  It is
 located here by a climbing elastic band over a path of bubble
-perturbations, whose highest sample seeds a Newton polish; a band that
-spends its budget falls back to Newton continuation in lam.  The minimal
+perturbations, whose highest sample seeds a Newton polish.  The minimal
 solution is even and the bubble centred, so the band and the polish run on
 the system's even block, and the band is held as one array: a sweep moves
 every sample with one stacked defect, one solve and one A-product.  The
@@ -42,18 +41,18 @@ from .solver import measure, newton
 # minimal solution below which a critical point counts as the same one, and
 # the concentration scale of the bubble direction.  Every sweep is taken;
 # a band that reaches no distinct point spends the whole budget.
-# Most successful searches at N = 256 take at most 200 sweeps; near
-# s = 0.35, q = 0.5, lam ~ 0.0121-0.0124 they take up to about 550.
+# Most searches at N = 256 end within 200 sweeps.  Near s = 0.35, q = 0.5,
+# lam ~ 0.0118-0.0128 the band creeps along a shallow even direction and
+# its sweep count follows the last bits.  The budget covers what was
+# measured there at one and two BLAS threads: the benchmark's ops took at
+# most 660 sweeps, and bands from 1-ulp perturbations of the base at most
+# 940 over 161 lam.  Near lam = 0.01234 a few perturbed bases in a hundred
+# take longer (up to 1430), and their searches fail.
 MP_SAMPLES = 33
-MP_MAX_SWEEPS = 600
+MP_MAX_SWEEPS = 1000
 MP_NEWTON_EVERY = 10
 MP_DISTINCT_TOL = 1e-2
 MP_BUBBLE_EPS = 0.02
-# A band that spends its budget falls back to the band at
-# (1 - MP_FALLBACK_DROP) lam, whose point Newton carries to lam in
-# MP_CONTINUATION_STEPS steps of lam.
-MP_FALLBACK_DROP = 0.15
-MP_CONTINUATION_STEPS = 16
 
 # Concentration scales of the bubble rays in energy_gap_check.
 GAP_EPS_LADDER = (0.08, 0.04, 0.02)
@@ -273,16 +272,15 @@ def _polish_critical_point(system, params, v0, floor, floor_level):
     A-distant from the floor; otherwise None.
     """
     block = system.even
-    A = block.stiffness
     try:
         v, _ = newton(block, params, v0, spd=False)
     except ConvergenceError:
         return None
     if not np.linalg.norm(defect(system, params, system.lift(v))) < 1e-12:
         return None
-    floor_norm = math.sqrt(max(np.vecdot(floor, row_products(A, floor)), 1e-300))
+    floor_norm = math.sqrt(max(np.vecdot(floor, block.apply(floor)), 1e-300))
     diff = v - floor
-    dist = math.sqrt(max(np.vecdot(diff, row_products(A, diff)), 0.0)) / floor_norm
+    dist = math.sqrt(max(np.vecdot(diff, block.apply(diff)), 0.0)) / floor_norm
     if dist > MP_DISTINCT_TOL and diff.min() >= -1e-8 and energy(block, params, v) > floor_level:
         return v
     return None
@@ -325,20 +323,11 @@ def mountain_pass_search(
     full space.  A base that is not reflection-even to 1e-12 relative
     raises ParameterError.
 
-    A band that spends MP_MAX_SWEEPS sweeps falls back to
-    ``_continue_from_below``: the band at (1 - MP_FALLBACK_DROP) lam, whose
-    point Newton carries back to lam.  Near s = 0.35, q = 0.5,
-    lam ~ 0.0121-0.0124 the band creeps along a shallow direction and
-    whether it ends in time follows the last bits; the fallback reaches the
-    point the band reaches when it ends in time.  A fallback appends one record (stage
-    ``fallback``: its lam and its band's sweeps) and one per continuation
-    step (stage ``continue``: lam and Newton iterations) to ``trace``.
-
     Returns the lifted second solution and its ``measure`` on the
     ``mountain-pass`` branch in the full system, whose iterations count
-    the sweeps of every band run.  Raises ConvergenceError when neither the
-    band nor its fallback locates such a point; the message starts with the
-    band's sweep budget.
+    the band's sweeps.  Raises ConvergenceError when MP_MAX_SWEEPS sweeps
+    locate no such point; the message gives the budget and the last path
+    maximum.
     """
     if params.lam <= 0.0:
         raise ParameterError("a second solution needs lam > 0")
@@ -348,10 +337,8 @@ def mountain_pass_search(
     base = system.even_half(first, "the base solution")
     found, sweeps, last = _band(system, params, base, trace)
     if found is None:
-        failure = (f"no distinct critical point located within {sweeps} sweeps; "
-                   f"last level {last!r}")
-        found, more = _continue_from_below(system, params, base, failure, trace)
-        sweeps += more
+        raise ConvergenceError(f"no distinct critical point located within {sweeps} sweeps; "
+                               f"last level {last!r}")
     second = system.lift(found)
     return second, measure(system, params, second, sweeps, "mountain-pass")
 
@@ -363,7 +350,6 @@ def _band(system, params, base, trace):
     MP_MAX_SWEEPS sweeps locate none.
     """
     block = system.even
-    A = block.stiffness
     # A^{-1} is formed once per band, so each sweep's solve of its stack of
     # defects is one product, one dgemm in row_products
     inverse = block.solve(np.eye(base.shape[0]))
@@ -372,7 +358,7 @@ def _band(system, params, base, trace):
     base_level = energy(block, params, base)
 
     def anorms(V):
-        return np.sqrt(np.maximum(np.vecdot(V, row_products(A, V)), 0.0))
+        return np.sqrt(np.maximum(np.vecdot(V, block.apply(V)), 0.0))
 
     def level(u):
         return energy(block, params, u)
@@ -408,7 +394,7 @@ def _band(system, params, base, trace):
         G = defect(block, params, inner)
         D = row_products(inverse, G)
         tau = path[2:] - path[:-2]
-        Atau = row_products(A, tau)
+        Atau = block.apply(tau)
         nt = np.sqrt(np.maximum(np.vecdot(tau, Atau), 0.0))
         # a zero tangent has no component to remove
         nt = np.where(nt > 0.0, nt, np.inf)
@@ -449,43 +435,4 @@ def _band(system, params, base, trace):
             if found is not None:
                 return found, sweep + 1, float(levels[jmax])
     return None, MP_MAX_SWEEPS, float(levels.max())
-
-
-def _continue_from_below(system, params, base, failure, trace):
-    """The band's point at a smaller lam, carried up to lam by Newton.
-
-    The fallback of a band that spends its budget.  At lam_0 =
-    (1 - MP_FALLBACK_DROP) lam the minimal solution is Newton's limit from
-    ``base``, with Cholesky, and a band runs from it; its point is then
-    carried to lam by Newton solves with LU at MP_CONTINUATION_STEPS - 1
-    evenly spaced values, each started from the last, and polished at lam
-    through the acceptance gates of ``_polish_critical_point``.  Fields
-    live on the even block.  Returns (point, the band's sweeps); raises
-    ConvergenceError, its message ``failure`` and the reason, when any
-    stage fails.
-    """
-    block = system.even
-    low = params.with_lam((1.0 - MP_FALLBACK_DROP) * params.lam)
-    try:
-        base_low, _ = newton(block, low, base)
-        v, sweeps, _ = _band(system, low, base_low, None)
-        if v is None:
-            raise ConvergenceError("its band located no point")
-        if trace is not None:
-            trace.append({"stage": "fallback", "lam": low.lam, "sweeps": sweeps})
-        for j in range(1, MP_CONTINUATION_STEPS):
-            p = params.with_lam(low.lam + (params.lam - low.lam) * j / MP_CONTINUATION_STEPS)
-            v, its = newton(block, p, v, spd=False)
-            if trace is not None:
-                trace.append({"stage": "continue", "lam": p.lam, "newton_iters": its})
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"{failure}; continuation from lam = {low.lam!r} failed: {exc}"
-        ) from None
-    found = _polish_critical_point(system, params, v, base, energy(block, params, base))
-    if found is None:
-        raise ConvergenceError(
-            f"{failure}; continuation from lam = {low.lam!r} reached no distinct point"
-        )
-    return found, sweeps
 
